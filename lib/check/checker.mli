@@ -55,7 +55,10 @@ type panel = {
   dir : Eda_grid.Dir.t;
   shields : int;  (** shield tracks the SINO layout inserted there *)
   nets : int array;  (** global ids of the nets in the panel *)
-  feasible : bool;  (** SINO layout feasible under the [Kth] bounds *)
+  kth : float array;
+      (** the panel's own per-net bound, parallel to [nets]: Phase I's
+          partition, possibly re-bounded by Phase III refinement *)
+  feasible : bool;  (** SINO layout feasible under the panel's [kth] *)
   degraded : bool;  (** layout came from the retry/fallback path *)
 }
 

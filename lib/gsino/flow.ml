@@ -358,14 +358,19 @@ let check ?(tech = Tech.default) r =
   let module Checker = Eda_check.Checker in
   let panels = ref [] in
   Phase2.iter r.phase2 (fun (region, dir) s ->
-      let nets = Array.of_seq (Hashtbl.to_seq_keys s.Phase2.k) in
-      Array.sort compare nets;
+      let inst = s.Phase2.inst in
+      let members =
+        List.init (Eda_sino.Instance.size inst) (fun li ->
+            (Eda_sino.Instance.net_id inst li, Eda_sino.Instance.kth inst li))
+        |> List.sort compare |> Array.of_list
+      in
       panels :=
         {
           Checker.region;
           dir;
           shields = Eda_sino.Layout.num_shields s.Phase2.layout;
-          nets;
+          nets = Array.map fst members;
+          kth = Array.map snd members;
           feasible = s.Phase2.feasible;
           degraded = s.Phase2.degraded;
         }

@@ -13,13 +13,29 @@
     shields and introduces no violation.
 
     Both passes mutate the {!Phase2} store and the shield counts in the
-    usage accounting in place.  The mutating tighten/relax steps are
-    inherently sequential; [?pool] parallelizes only the read-only noise
-    scans between them (the per-round violation sweep, pass 2's
-    acceptance check, the residual count), so results are identical for
-    any job count.  Refinement carries no RNG of its own: every re-solve
-    goes through {!Phase2.resolve}, whose result is a pure function of
-    the re-bounded instance content and the flow seed. *)
+    usage accounting in place, and both are incremental:
+
+    - {b Noise cache.}  Refinement keeps each net's worst-sink
+      [(sink, LSK, noise)] from {!Noise.worst_sink}.  Net [j]'s entry
+      reads K_j only in the panels [j] belongs to, so installing a
+      re-solved (or reverted) panel invalidates exactly that panel's
+      members; a stale entry is re-walked before it is read.  Pass 1's
+      worst-violator pick, pass 2's slack and acceptance check and the
+      residual count all read the cache.
+    - {b Pass-2 worklist.}  Pass 2 keeps the shielded, not-yet-attempted
+      panels in one set ordered by (utilization descending, key
+      ascending) and pops its minimum each round.  Inside pass 2 only
+      the popped panel's shields change, so every other entry's stored
+      utilization stays current; an accepted panel that still has
+      shields is pushed back under its new utilization.
+
+    Both keep the picks, re-solves and accept/revert decisions of a
+    from-scratch rescan each round.  The mutating tighten/relax steps are
+    inherently sequential; [?pool] parallelizes only the full cache
+    refreshes between them (one slot per net, each a pure function of the
+    store), so results are identical for any job count.  Refinement carries no RNG of its own: every
+    re-solve goes through {!Phase2.resolve}, whose result is a pure
+    function of the re-bounded instance content and the flow seed. *)
 
 type stats = {
   pass1_nets_fixed : int;  (** violating nets repaired *)

@@ -217,19 +217,19 @@ let accept_loop t =
    CPU-bound).  The protocol allows no client bytes after the request
    frame, so readability means EOF (peer closed) or garbage; EOF and
    socket errors cancel the request's deadline, which the flow observes
-   at its next cooperative checkpoint. *)
-let monitor_fd fd deadline stop =
+   at its next cooperative checkpoint.  A byte on [wake] (the request's
+   self-pipe) ends the watch as soon as the request is answered. *)
+let monitor_fd fd ~wake deadline =
   let buf = Bytes.create 1 in
   let rec loop () =
-    if not (Atomic.get stop) then begin
-      match Unix.select [ fd ] [] [] 0.15 with
-      | [], _, _ -> loop ()
-      | _ :: _, _, _ -> (
-          match Unix.recv fd buf 0 1 [] with
-          | 0 -> Deadline.cancel deadline
-          | _ -> loop () (* protocol garbage; consume and keep watching *)
-          | exception Unix.Unix_error (_, _, _) -> Deadline.cancel deadline)
-    end
+    match Unix.select [ fd; wake ] [] [] (-1.0) with
+    | ready, _, _ when List.mem wake ready -> ()
+    | [], _, _ | (exception Unix.Unix_error (Unix.EINTR, _, _)) -> loop ()
+    | _ :: _, _, _ -> (
+        match Unix.recv fd buf 0 1 [] with
+        | 0 -> Deadline.cancel deadline
+        | _ -> loop () (* protocol garbage; consume and keep watching *)
+        | exception Unix.Unix_error (_, _, _) -> Deadline.cancel deadline)
   in
   loop ()
 
@@ -291,8 +291,10 @@ let handle_route t pool (job : job) =
     Deadline.cancellable ~budget_ms:(effective_budget_ms t job.options) ()
   in
   locked t (fun () -> Hashtbl.replace t.active_deadlines job.serial deadline);
-  let stop = Atomic.make false in
-  let monitor = Thread.create (fun () -> monitor_fd job.fd deadline stop) () in
+  let wake_r, wake_w = Unix.pipe ~cloexec:true () in
+  let monitor =
+    Thread.create (fun () -> monitor_fd job.fd ~wake:wake_r deadline) ()
+  in
   (* fresh per-request observability context on this domain: metrics
      shard rebased to the startup instrument set, journal shard cleared,
      trace ring armed only when the client asked for the artifact *)
@@ -319,10 +321,12 @@ let handle_route t pool (job : job) =
         Protocol.error_response e)
   in
   Trace.disable ();
-  Atomic.set stop true;
-  Thread.join monitor;
   let sent = try_respond job.fd response in
-  close_quiet job.fd;
+  (* respond, wake and join the monitor, then close: the request fd is
+     never closed under the monitor's select *)
+  ignore (Unix.write_substring wake_w "x" 0 1);
+  Thread.join monitor;
+  List.iter close_quiet [ job.fd; wake_r; wake_w ];
   locked t (fun () ->
       Hashtbl.remove t.active_deadlines job.serial;
       t.active <- t.active - 1;

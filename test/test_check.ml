@@ -103,6 +103,8 @@ let base () =
     |]
   in
   let usage = Usage.of_routes grid ~gcell_um (Array.to_list routes) in
+  (* manhattan source-sink distances are 2 and 1 gcells *)
+  let kth = [| 5.0; 10.0 |] in
   let panels =
     List.concat
       (List.mapi
@@ -114,6 +116,7 @@ let base () =
                  dir;
                  shields = 0;
                  nets = [| i |];
+                 kth = [| kth.(i) |];
                  feasible = true;
                  degraded = false;
                })
@@ -125,8 +128,7 @@ let base () =
     grid;
     routes;
     lsk_budget = 1000.0;
-    (* manhattan source-sink distances are 2 and 1 gcells *)
-    kth = [| 5.0; 10.0 |];
+    kth;
     lsk_table = Lintable.of_points [ (0.0, 0.0); (1000.0, 0.2) ];
     sensitive = (fun _ _ -> false);
     usage;
@@ -218,6 +220,7 @@ let test_gsl0005_over_capacity_is_warning () =
           dir = Dir.H;
           shields = 10;
           nets = [| 0 |];
+          kth = [| 5.0 |];
           feasible = true;
           degraded = false;
         }
@@ -328,7 +331,7 @@ let test_gsl0028_shield_lower_bound () =
     {
       sol with
       Checker.sensitive = (fun i j -> i <> j);
-      panels = [ { p with Checker.nets = [| 0; 1 |]; shields } ];
+      panels = [ { p with Checker.nets = [| 0; 1 |]; kth = sol.Checker.kth; shields } ];
     }
   in
   let diags = Checker.run (corrupt 0) in
@@ -446,6 +449,28 @@ let test_flow_lint_known_warnings_only () =
         diags)
     (Lazy.force flow_diags)
 
+(* Regression: Phase III had relaxed one panel's Kth past its Phase I
+   budget, and GSL0028 used to bound the panel under the Phase I value,
+   reporting "region=103/V ... 0 shields but ... forces at least 1" for
+   this iSINO run (the [gsino_run run -c ibm04 -s 0.02 --seed 1000705
+   -r 0.5] sequence). *)
+let test_gsl0028_refined_kth () =
+  let seed = 1000705 in
+  let nl =
+    Generator.generate ~gcell_um:tech.Tech.gcell_um ~scale:0.02 ~seed
+      Generator.ibm04
+  in
+  let config = { Flow.Config.default with Flow.Config.kind = Flow.Isino; seed } in
+  let grid, base = Flow.prepare ~config tech nl in
+  let sensitivity = Sensitivity.make ~seed:(seed lxor 0xbeef) ~rate:0.5 in
+  let r = Flow.run ~grid ~base config tech ~sensitivity nl in
+  let diags = Flow.check ~tech r in
+  Alcotest.(check (list string)) "no GSL0028" []
+    (List.filter_map
+       (fun d -> if d.Diag.code = 28 then Some (Diag.to_line d) else None)
+       diags);
+  Alcotest.(check bool) "no Error diagnostics" false (Diag.has_errors diags)
+
 let suites =
   [
     ( "check.diag",
@@ -493,5 +518,7 @@ let suites =
         Alcotest.test_case "seeded flows error-free" `Slow test_flow_lint_error_free;
         Alcotest.test_case "only expected warnings" `Slow
           test_flow_lint_known_warnings_only;
+        Alcotest.test_case "GSL0028 under refined Kth" `Slow
+          test_gsl0028_refined_kth;
       ] );
   ]
