@@ -34,6 +34,11 @@ let getenv_i name default =
 let scale = getenv_f "GSINO_BENCH_SCALE" 0.05
 let seed = getenv_i "GSINO_BENCH_SEED" 7
 
+(* the CLI drivers' defaults at [seed]: sensitivity model and flow config *)
+let opts = { Options.default with Options.seed }
+let sens = Options.sensitivity opts
+let config = Options.to_config ~jobs:1 opts
+
 let profiles =
   match Sys.getenv_opt "GSINO_BENCH_CIRCUITS" with
   | None -> Generator.all_ibm
@@ -45,6 +50,17 @@ let profiles =
              | None -> failwith ("unknown circuit " ^ name))
 
 let section name = Format.printf "@.=== %s ===@." name
+
+(* A budget check records its verdict as bench.gate{name} (1 pass, 0
+   fail) and lets the run go on, so a failed gate still leaves every
+   artifact behind; the process exits non-zero once they are written. *)
+let failed_gates = ref []
+
+let gate name ok =
+  Metrics.set
+    (Metrics.gauge ~labels:[ ("name", name) ] "bench.gate")
+    (if ok then 1.0 else 0.0);
+  if not ok then failed_gates := name :: !failed_gates
 
 (* ------------------------- Tables 1-3 ------------------------------ *)
 
@@ -192,12 +208,9 @@ let run_ablations () =
     Generator.generate ~gcell_um:tech.Tech.gcell_um ~scale:(Float.min scale 0.05)
       ~seed Generator.ibm01
   in
-  let sens = Eda_netlist.Sensitivity.make ~seed:(seed lxor 0xbeef) ~rate:0.30 in
   List.iter
     (fun (name, router) ->
-      let config kind =
-        { Flow.Config.default with Flow.Config.kind; router; seed }
-      in
+      let config kind = Options.to_config ~jobs:1 { opts with kind; router } in
       let t0 = Sys.time () in
       let grid, base = Flow.prepare ~config:(config Flow.Id_no) tech nl in
       let prep_s = Sys.time () -. t0 in
@@ -209,14 +222,12 @@ let run_ablations () =
         name prep_s idno.Flow.avg_wl_um
         (100. *. (a1 -. a0) /. a0)
         (Flow.violation_count gsino))
-    [ ("iterative-deletion", Flow.Iterative_deletion); ("negotiated", Flow.Negotiated) ];
+    Options.router_names;
   section "ablation: budgeting (uniform Manhattan vs route-aware)";
   let grid, base = Flow.prepare tech nl in
   List.iter
     (fun (name, budgeting) ->
-      let config kind =
-        { Flow.Config.default with Flow.Config.kind; budgeting; seed }
-      in
+      let config kind = Options.to_config ~jobs:1 { opts with kind; budgeting } in
       let idno = Flow.run ~grid ~base (config Flow.Id_no) tech ~sensitivity:sens nl in
       let gsino = Flow.run ~grid (config Flow.Gsino) tech ~sensitivity:sens nl in
       let _, _, a0 = idno.Flow.area and _, _, a1 = gsino.Flow.area in
@@ -231,7 +242,7 @@ let run_ablations () =
         (100. *. (a1 -. a0) /. a0)
         p1
         (Flow.violation_count gsino))
-    [ ("uniform", Flow.Uniform); ("route-aware", Flow.Route_aware) ]
+    Options.budgeting_names
 
 (* --- V5: counter-measure comparison (shield vs spacing vs diff) ----- *)
 
@@ -313,8 +324,7 @@ let run_parallel_speedup () =
     Generator.generate ~gcell_um:tech.Tech.gcell_um
       ~scale:(Float.max scale 0.05) ~seed Generator.ibm01
   in
-  let sens = Eda_netlist.Sensitivity.make ~seed:(seed lxor 0xbeef) ~rate:0.30 in
-  let config jobs = { Flow.Config.default with Flow.Config.seed; jobs } in
+  let config jobs = { config with Flow.Config.jobs } in
   let grid, _ = Flow.prepare ~config:(config 1) tech nl in
   let phase23 jobs =
     let r = Flow.run ~grid (config jobs) tech ~sensitivity:sens nl in
@@ -357,14 +367,11 @@ let run_panel_cache () =
     Generator.generate ~gcell_um:tech.Tech.gcell_um
       ~scale:(Float.max scale 0.05) ~seed Generator.ibm01
   in
-  let sens = Eda_netlist.Sensitivity.make ~seed:(seed lxor 0xbeef) ~rate:0.30 in
   let dir =
     Filename.concat (Filename.get_temp_dir_name ())
       (Printf.sprintf "gsino_bench_cache.%d" (Unix.getpid ()))
   in
-  let config cache cache_dir =
-    { Flow.Config.default with Flow.Config.seed; cache; cache_dir }
-  in
+  let config cache cache_dir = { config with Flow.Config.cache; cache_dir } in
   let grid, _ = Flow.prepare ~config:(config false None) tech nl in
   let timed cfg =
     let t0 = Unix.gettimeofday () in
@@ -400,8 +407,8 @@ let run_panel_cache () =
      Sys.remove (Filename.concat dir "panels.v1");
      Sys.rmdir dir
    with Sys_error _ -> ());
-  assert identical;
-  assert (rate >= 0.25)
+  gate "cache_identity" identical;
+  gate "cache_hit_rate" (rate >= 0.25)
 
 (* ------------------------- audit cost ------------------------------- *)
 
@@ -412,8 +419,6 @@ let run_audit_cost () =
     Generator.generate ~gcell_um:tech.Tech.gcell_um
       ~scale:(Float.max scale 0.05) ~seed Generator.ibm01
   in
-  let sens = Eda_netlist.Sensitivity.make ~seed:(seed lxor 0xbeef) ~rate:0.30 in
-  let config = { Flow.Config.default with Flow.Config.seed } in
   let grid, _ = Flow.prepare ~config tech nl in
   let r = Flow.run ~grid config tech ~sensitivity:sens nl in
   let acfg = Flow.analyze_config tech in
@@ -433,7 +438,7 @@ let run_audit_cost () =
     audit_ms route_ms pct;
   (* the audit must stay a rounding error next to routing — if this
      trips, the analyzer grew a super-linear pass *)
-  assert (audit_ms < 0.05 *. route_ms)
+  gate "audit_cost" (audit_ms < 0.05 *. route_ms)
 
 (* ------------------------ attribution journal ----------------------- *)
 
@@ -449,8 +454,6 @@ let run_journal_overhead () =
     Generator.generate ~gcell_um:tech.Tech.gcell_um
       ~scale:(Float.max scale 0.05) ~seed Generator.ibm01
   in
-  let sens = Eda_netlist.Sensitivity.make ~seed:(seed lxor 0xbeef) ~rate:0.30 in
-  let config = { Flow.Config.default with Flow.Config.seed } in
   let grid, _ = Flow.prepare ~config tech nl in
   let run_once () =
     let t0 = Unix.gettimeofday () in
@@ -547,8 +550,8 @@ let run_journal_overhead () =
   end;
   Journal.disable ();
   (* attribution must stay a rounding error on the flow it explains *)
-  assert (overhead_pct < 3.0);
-  assert (span_us <= 0.0 || reconcile_pct < 5.0)
+  gate "journal_overhead" (overhead_pct < 3.0);
+  gate "journal_reconcile" (span_us <= 0.0 || reconcile_pct < 5.0)
 
 (* ----------------------- Bechamel timings --------------------------- *)
 
@@ -687,4 +690,8 @@ let () =
     Format.printf "history: appended to %s (disable: GSINO_BENCH_HISTORY=)@."
       history_file
   end;
-  Format.printf "@.done.@."
+  match List.rev !failed_gates with
+  | [] -> Format.printf "@.done.@."
+  | names ->
+      Format.printf "@.gates failed: %s@." (String.concat ", " names);
+      exit 1

@@ -63,41 +63,7 @@ let scale_arg ?(default = 0.05) () =
 
 let seed_arg =
   let doc = "Random seed for placement, sensitivity and heuristics." in
-  Arg.(value & opt int 7 & info [ "seed" ] ~docv:"N" ~doc)
-
-let rate_arg =
-  let doc = "Sensitivity rate (fraction of net pairs sensitive to each other)." in
-  Arg.(value & opt float 0.30 & info [ "r"; "rate" ] ~docv:"R" ~doc)
-
-let router_arg =
-  let doc =
-    "Global router: 'id' (the paper's iterative deletion) or 'nc' \
-     (negotiated congestion)."
-  in
-  Arg.(value
-     & opt (enum [ ("id", Flow.Iterative_deletion); ("nc", Flow.Negotiated) ])
-         Flow.Iterative_deletion
-     & info [ "router" ] ~docv:"ENGINE" ~doc)
-
-let budgeting_arg =
-  let doc =
-    "Crosstalk budgeting: 'uniform' (the paper's Manhattan split) or \
-     'route-aware'."
-  in
-  Arg.(value
-     & opt (enum [ ("uniform", Flow.Uniform); ("route-aware", Flow.Route_aware) ])
-         Flow.Uniform
-     & info [ "budgeting" ] ~docv:"MODE" ~doc)
-
-let deadline_arg =
-  let doc =
-    "Wall-clock budget for the whole flow, in milliseconds (0 = none).  On \
-     expiry each phase keeps its best-so-far result — routes stay \
-     connected, accounting stays consistent — and the run completes \
-     $(i,degraded) (exit 0, GSL0019 warning in the lint output) instead of \
-     being killed."
-  in
-  Arg.(value & opt int 0 & info [ "deadline" ] ~docv:"MS" ~doc)
+  Arg.(value & opt int Options.default.seed & info [ "seed" ] ~docv:"N" ~doc)
 
 let audit_arg =
   let doc =
@@ -138,6 +104,96 @@ let verbose_arg =
 let quiet_arg =
   let doc = "Silence logging entirely (overrides GSINO_LOG and $(b,-v))." in
   Arg.(value & flag & info [ "q"; "quiet" ] ~doc)
+
+(* ---------------- diagnostics listing ---------------- *)
+
+(* --pretty, --max-print and --errors-only: how gsino_lint and
+   gsino_audit list their findings (print_diags) *)
+let pretty_arg =
+  let doc = "Human-readable diagnostics instead of machine one-liners." in
+  Arg.(value & flag & info [ "pretty" ] ~doc)
+
+let max_print_arg ~doc =
+  Arg.(value & opt int 50 & info [ "max-print" ] ~docv:"N" ~doc)
+
+let errors_only_arg =
+  let doc = "Only print Error-severity diagnostics." in
+  Arg.(value & flag & info [ "e"; "errors-only" ] ~doc)
+
+let print_diags out ~pretty ~max_print ~errors_only diags =
+  let shown =
+    List.filter (fun d -> (not errors_only) || d.Diag.severity = Diag.Error) diags
+  in
+  List.iteri
+    (fun i d ->
+      if max_print <= 0 || i < max_print then
+        if pretty then Format.fprintf out "%a@." Diag.pp d
+        else Format.fprintf out "%s@." (Diag.to_line d))
+    shown;
+  let n_shown = List.length shown in
+  if max_print > 0 && n_shown > max_print then
+    Format.fprintf out "... %d more diagnostics suppressed (--max-print)@."
+      (n_shown - max_print)
+
+(* ---------------- flow options ---------------- *)
+
+(* The Gsino.Options fields a driver exposes as flags.  Like Sinks.term,
+   one term serves every driver: flag values come from Options' name
+   tables and defaults from Options.default, so a flag can neither spell
+   a value differently from the wire nor default differently from a
+   served request.  Fields a driver does not expose keep their default. *)
+module Opts = struct
+  type field = Kind | Router | Budgeting | Seed | Rate | Deadline
+
+  let d = Options.default
+
+  (* gsino_lint's --kind: one flow, or 'all' of them in table order *)
+  let kinds_arg =
+    let doc =
+      "Flow to audit: 'id-no', 'isino', 'gsino', or 'all' (runs all three)."
+    in
+    let one = List.map (fun (n, k) -> (n, [ k ])) Options.kind_names in
+    let all = ("all", List.map snd Options.kind_names) in
+    Arg.(value
+       & opt (enum (one @ [ all ])) [ d.kind ]
+       & info [ "k"; "kind" ] ~docv:"KIND" ~doc)
+
+  let term fields =
+    let flag field names ~docv ~doc values default =
+      if List.mem field fields then
+        Arg.(value & opt values default & info names ~docv ~doc)
+      else Term.const default
+    in
+    Term.(
+      const (fun kind router budgeting seed rate deadline_ms ->
+          { d with Options.kind; router; budgeting; seed; rate; deadline_ms })
+      $ flag Kind [ "k"; "kind" ] ~docv:"KIND"
+          ~doc:"Flow to run: 'id-no', 'isino' or 'gsino'."
+          (Arg.enum Options.kind_names) d.kind
+      $ flag Router [ "router" ] ~docv:"ENGINE"
+          ~doc:
+            "Global router: 'id' (the paper's iterative deletion) or 'nc' \
+             (negotiated congestion)."
+          (Arg.enum Options.router_names) d.router
+      $ flag Budgeting [ "budgeting" ] ~docv:"MODE"
+          ~doc:
+            "Crosstalk budgeting: 'uniform' (the paper's Manhattan split) or \
+             'route-aware'."
+          (Arg.enum Options.budgeting_names) d.budgeting
+      $ (if List.mem Seed fields then seed_arg else const d.seed)
+      $ flag Rate [ "r"; "rate" ] ~docv:"R"
+          ~doc:
+            "Sensitivity rate (fraction of net pairs sensitive to each other)."
+          Arg.float d.rate
+      $ flag Deadline [ "deadline" ] ~docv:"MS"
+          ~doc:
+            "Wall-clock budget for the whole flow, in milliseconds (0 = \
+             none).  On expiry each phase keeps its best-so-far result — \
+             routes stay connected, accounting stays consistent — and the \
+             run completes $(i,degraded) (exit 0, GSL0019 warning in the \
+             lint output) instead of being killed."
+          Arg.int d.deadline_ms)
+end
 
 (* ---------------- output sinks ---------------- *)
 

@@ -5,94 +5,38 @@
    printing coded GSL diagnostics.  Exit status: 0 when no
    Error-severity finding fired, 1 otherwise — so CI can gate on it.
 
-   Shared flags (--trace/--metrics sinks, -v/-q, --jobs, circuit
-   selection) come from Cli_common. *)
+   Shared flags (flow options, --trace/--metrics sinks, -v/-q, --jobs,
+   circuit selection) come from Cli_common; the run itself is
+   Gsino.Options.route, the recipe the serve daemon also runs. *)
 open Cmdliner
 open Gsino
 module Diag = Eda_check.Diag
-module Sensitivity = Eda_netlist.Sensitivity
 module C = Cli_common
 
 let netlist_file_arg =
   C.netlist_file_arg
     ~doc:"Audit FILE (gsino-netlist v1) instead of a generated circuit."
 
-let kind_arg =
-  let doc =
-    "Flow to audit: 'id-no', 'isino', 'gsino', or 'all' (runs all three)."
-  in
-  Arg.(value
-     & opt
-         (enum
-            [
-              ("id-no", [ Flow.Id_no ]);
-              ("isino", [ Flow.Isino ]);
-              ("gsino", [ Flow.Gsino ]);
-              ("all", [ Flow.Id_no; Flow.Isino; Flow.Gsino ]);
-            ])
-         [ Flow.Gsino ]
-     & info [ "k"; "kind" ] ~docv:"KIND" ~doc)
-
-let pretty_arg =
-  let doc = "Human-readable diagnostics instead of machine one-liners." in
-  Arg.(value & flag & info [ "pretty" ] ~doc)
-
-let max_print_arg =
-  let doc = "Print at most $(docv) diagnostics per flow (0 = unlimited)." in
-  Arg.(value & opt int 50 & info [ "max-print" ] ~docv:"N" ~doc)
-
-let errors_only_arg =
-  let doc = "Only print Error-severity diagnostics." in
-  Arg.(value & flag & info [ "e"; "errors-only" ] ~doc)
-
-let lint circuit scale seed rate router budgeting jobs deadline netlist_file
-    kinds pretty max_print errors_only sinks panel_cache progress verbose quiet
-    =
+let lint circuit scale (o : Options.t) kinds jobs netlist_file pretty max_print
+    errors_only sinks panel_cache progress verbose quiet =
   let claimed = C.claim_stdout ~prog:"gsino_lint" sinks in
   let out = C.out_formatter ~claimed in
   C.with_obs ~pretty ~prog:"gsino_lint" ~progress ~sinks ~verbose ~quiet
   @@ fun () ->
   let tech = Tech.default in
-  let netlist = C.netlist_of tech ~circuit ~scale ~seed netlist_file in
+  let netlist = C.netlist_of tech ~circuit ~scale ~seed:o.seed netlist_file in
   let cache, cache_dir = panel_cache in
-  let config kind =
-    {
-      Flow.Config.default with
-      Flow.Config.kind;
-      router;
-      budgeting;
-      seed;
-      jobs;
-      deadline_ms = deadline;
-      cache;
-      cache_dir;
-    }
-  in
-  let grid, base = Flow.prepare ~config:(config Flow.Gsino) tech netlist in
-  let sensitivity = Sensitivity.make ~seed:(seed lxor 0xbeef) ~rate in
-  let lint_one kind =
-    let r = Flow.run ~grid ~base (config kind) tech ~sensitivity netlist in
-    let diags = Flow.check ~tech r in
-    let shown =
-      List.filter
-        (fun d -> (not errors_only) || d.Diag.severity = Diag.Error)
-        diags
-    in
-    let n_shown = List.length shown in
-    List.iteri
-      (fun i d ->
-        if max_print <= 0 || i < max_print then
-          if pretty then Format.fprintf out "%a@." Diag.pp d
-          else Format.fprintf out "%s@." (Diag.to_line d))
-      shown;
-    if max_print > 0 && n_shown > max_print then
-      Format.fprintf out "... %d more diagnostics suppressed (--max-print)@."
-        (n_shown - max_print);
-    Format.fprintf out "gsino_lint: %s on %s: %a@." (Flow.kind_name kind)
+  let config = { (Options.to_config ~jobs o) with cache; cache_dir } in
+  let lint_one r diags =
+    C.print_diags out ~pretty ~max_print ~errors_only diags;
+    Format.fprintf out "gsino_lint: %s on %s: %a@."
+      (Flow.kind_name r.Flow.kind)
       netlist.Eda_netlist.Netlist.name Diag.pp_summary diags;
     diags
   in
-  let all = List.concat_map lint_one kinds in
+  let all =
+    List.concat (Options.route ~kinds ~config tech o netlist lint_one)
+  in
   if Diag.has_errors all then C.exit_findings else C.exit_ok
 
 let cmd =
@@ -112,10 +56,12 @@ let cmd =
   Cmd.v
     (Cmd.info "gsino_lint" ~version:"1.0.0" ~doc ~man)
     Term.(
-      const lint $ C.circuit_arg $ C.scale_arg ~default:0.02 () $ C.seed_arg
-      $ C.rate_arg $ C.router_arg $ C.budgeting_arg $ C.jobs_arg
-      $ C.deadline_arg $ netlist_file_arg $ kind_arg $ pretty_arg
-      $ max_print_arg $ errors_only_arg
+      const lint $ C.circuit_arg $ C.scale_arg ~default:0.02 ()
+      $ C.Opts.(term [ Router; Budgeting; Seed; Rate; Deadline ])
+      $ C.Opts.kinds_arg $ C.jobs_arg $ netlist_file_arg $ C.pretty_arg
+      $ C.max_print_arg
+          ~doc:"Print at most $(docv) diagnostics per flow (0 = unlimited)."
+      $ C.errors_only_arg
       $ C.Sinks.(term [ Trace; Profile; Metrics; Journal ])
       $ C.panel_cache_term $ C.progress_arg $ C.verbose_arg $ C.quiet_arg)
 

@@ -6,8 +6,8 @@
      table  — dump the LSK -> noise lookup table
      bounds — show the crosstalk budget statistics for a circuit
 
-   The flags shared with the other drivers
-   (--trace/--metrics/--profile/--journal/--report sinks, -v/-q, --jobs,
+   The flags shared with the other drivers (flow options,
+   --trace/--metrics/--profile/--journal/--report sinks, -v/-q, --jobs,
    circuit selection) live in Cli_common. *)
 open Cmdliner
 open Gsino
@@ -21,40 +21,24 @@ let netlist_file_arg =
        one."
 
 let run_cmd =
-  let run circuit scale seed rate router budgeting jobs deadline audit
-      netlist_file sinks panel_cache progress verbose quiet =
+  let run circuit scale (o : Options.t) jobs audit netlist_file sinks
+      panel_cache progress verbose quiet =
     let claimed = C.claim_stdout ~prog:"gsino_run" sinks in
     let out = C.out_formatter ~claimed in
     C.with_obs ~prog:"gsino_run" ~progress ~sinks ~verbose ~quiet
     @@ fun () ->
     let tech = Tech.default in
-    let netlist = C.netlist_of tech ~circuit ~scale ~seed netlist_file in
+    let netlist = C.netlist_of tech ~circuit ~scale ~seed:o.seed netlist_file in
     Format.fprintf out "%a@." Eda_netlist.Netlist.pp_summary netlist;
     let cache, cache_dir = panel_cache in
-    let config kind =
-      {
-        Flow.Config.default with
-        Flow.Config.kind;
-        router;
-        budgeting;
-        seed;
-        jobs;
-        deadline_ms = deadline;
-        audit;
-        cache;
-        cache_dir;
-      }
+    let config = { (Options.to_config ~jobs o) with audit; cache; cache_dir } in
+    let checked =
+      Options.route ~config tech o netlist
+        ~kinds:(List.map snd Options.kind_names)
+        (fun r diags -> (r, diags))
     in
-    let grid, base = Flow.prepare ~config:(config Flow.Id_no) tech netlist in
-    Format.fprintf out "%a@.@." Eda_grid.Grid.pp grid;
-    let sensitivity = Eda_netlist.Sensitivity.make ~seed:(seed lxor 0xbeef) ~rate in
-    let flows =
-      [
-        Flow.run ~grid ~base (config Flow.Id_no) tech ~sensitivity netlist;
-        Flow.run ~grid ~base (config Flow.Isino) tech ~sensitivity netlist;
-        Flow.run ~grid (config Flow.Gsino) tech ~sensitivity netlist;
-      ]
-    in
+    let flows = List.map fst checked in
+    Format.fprintf out "%a@.@." Eda_grid.Grid.pp (List.hd flows).Flow.grid;
     List.iter (fun r -> Format.fprintf out "%a@." Flow.pp_summary r) flows;
     List.iter
       (fun r ->
@@ -66,8 +50,7 @@ let run_cmd =
     (* self-audit: every flow run is checked against the GSL invariant
        rules; errors are printed in full, the rest summarized *)
     List.iter
-      (fun r ->
-        let diags = Flow.check ~tech r in
+      (fun (r, diags) ->
         Format.fprintf out "%s lint: %a@." (Flow.kind_name r.Flow.kind)
           Eda_check.Diag.pp_summary diags;
         List.iter
@@ -75,7 +58,7 @@ let run_cmd =
             if d.Eda_check.Diag.severity = Eda_check.Diag.Error then
               Format.fprintf out "  %s@." (Eda_check.Diag.to_line d))
           diags)
-      flows;
+      checked;
     Format.fprintf out "@.%a" Report.metrics_summary (Metrics.snapshot ());
     match sinks.C.Sinks.report with
     | None -> ()
@@ -97,33 +80,35 @@ let run_cmd =
   in
   let doc = "Run ID+NO, iSINO and GSINO on one circuit at one sensitivity rate." in
   Cmd.v (Cmd.info "run" ~doc)
-    Term.(const run $ C.circuit_arg $ C.scale_arg () $ C.seed_arg $ C.rate_arg
-          $ C.router_arg $ C.budgeting_arg $ C.jobs_arg $ C.deadline_arg
-          $ C.audit_arg $ netlist_file_arg $ C.Sinks.term C.Sinks.all
+    Term.(const run $ C.circuit_arg $ C.scale_arg ()
+          $ C.Opts.(term [ Router; Budgeting; Seed; Rate; Deadline ])
+          $ C.jobs_arg $ C.audit_arg $ netlist_file_arg $ C.Sinks.term C.Sinks.all
           $ C.panel_cache_term $ C.progress_arg $ C.verbose_arg $ C.quiet_arg)
 
 let map_cmd =
-  let run circuit scale seed rate jobs netlist_file panel_cache =
+  let run circuit scale (o : Options.t) jobs netlist_file panel_cache =
     let tech = Tech.default in
-    let netlist = C.netlist_of tech ~circuit ~scale ~seed netlist_file in
+    let netlist = C.netlist_of tech ~circuit ~scale ~seed:o.seed netlist_file in
     let cache, cache_dir = panel_cache in
-    let config kind =
-      { Flow.Config.default with Flow.Config.kind; seed; jobs; cache; cache_dir }
+    let config = { (Options.to_config ~jobs o) with cache; cache_dir } in
+    let grid, base = Flow.prepare ~config tech netlist in
+    let sensitivity = Options.sensitivity o in
+    let usage kind =
+      (Flow.run ~grid ~base { config with Flow.Config.kind } tech ~sensitivity
+         netlist)
+        .Flow.usage
     in
-    let grid, base = Flow.prepare ~config:(config Flow.Id_no) tech netlist in
-    let sensitivity = Eda_netlist.Sensitivity.make ~seed:(seed lxor 0xbeef) ~rate in
-    let idno = Flow.run ~grid ~base (config Flow.Id_no) tech ~sensitivity netlist in
-    let gsino = Flow.run ~grid (config Flow.Gsino) tech ~sensitivity netlist in
+    let idno = usage Flow.Id_no and gsino = usage Flow.Gsino in
     Format.printf "%a@.@." Eda_netlist.Netlist.pp_summary netlist;
     Format.printf "conventional routing (nets only):@.%a@." Congestion_map.render
-      idno.Flow.usage;
-    Format.printf "GSINO (nets + shields):@.%a@." Congestion_map.render
-      gsino.Flow.usage
+      idno;
+    Format.printf "GSINO (nets + shields):@.%a@." Congestion_map.render gsino
   in
   let doc = "Print ASCII congestion maps before and after GSINO." in
   Cmd.v (Cmd.info "map" ~doc)
-    Term.(const run $ C.circuit_arg $ C.scale_arg () $ C.seed_arg $ C.rate_arg
-          $ C.jobs_arg $ netlist_file_arg $ C.panel_cache_term)
+    Term.(const run $ C.circuit_arg $ C.scale_arg ()
+          $ C.Opts.(term [ Seed; Rate ]) $ C.jobs_arg $ netlist_file_arg
+          $ C.panel_cache_term)
 
 let gen_cmd =
   let run circuit scale seed out =

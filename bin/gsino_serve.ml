@@ -106,15 +106,6 @@ let daemon_cmd =
 
 (* ---------------- client: route ---------------- *)
 
-let kind_arg =
-  let doc = "Flow to run remotely: 'id-no', 'isino' or 'gsino'." in
-  Arg.(value
-     & opt
-         (enum
-            [ ("id-no", Flow.Id_no); ("isino", Flow.Isino); ("gsino", Flow.Gsino) ])
-         Flow.Gsino
-     & info [ "k"; "kind" ] ~docv:"KIND" ~doc)
-
 let timeout_arg =
   let doc = "Give up waiting for the daemon's response after $(docv) seconds \
              (0 = wait forever)." in
@@ -124,12 +115,10 @@ let netlist_file_arg =
   C.netlist_file_arg
     ~doc:"Route FILE (gsino-netlist v1) instead of a generated circuit."
 
-let write_artifact ~claimed sink contents =
+let write_artifact sink contents =
   match sink with
   | None -> ()
-  | Some "-" ->
-      ignore claimed;
-      print_string contents
+  | Some "-" -> print_string contents
   | Some file ->
       let oc = open_out file in
       Fun.protect ~finally:(fun () -> close_out oc) (fun () ->
@@ -146,36 +135,22 @@ let report_remote_error ~pretty (gsl, exit_code, message) =
   else prerr_endline (Diag.to_line d);
   exit exit_code
 
-let route socket timeout circuit scale seed rate router budgeting kind deadline
-    netlist_file pretty sinks verbose quiet =
+let route socket timeout circuit scale (o : Options.t) netlist_file pretty sinks
+    verbose quiet =
   let claimed = C.claim_stdout ~prog:"gsino_serve" sinks in
   let out = C.out_formatter ~claimed in
   apply_verbosity ~verbose ~quiet;
   C.guard_exceptions ~pretty @@ fun () ->
   let tech = Tech.default in
-  let netlist = C.netlist_of tech ~circuit ~scale ~seed netlist_file in
+  let netlist = C.netlist_of tech ~circuit ~scale ~seed:o.seed netlist_file in
+  (* every sink flag set asks for the artifact of the same name *)
+  let sink name = Option.join (List.assoc_opt name (C.Sinks.pairs sinks)) in
   let artifacts =
     List.filter_map
-      (fun (kind, art) ->
-        match C.Sinks.get sinks kind with Some _ -> Some art | None -> None)
-      [
-        (C.Sinks.Report, Protocol.Report);
-        (C.Sinks.Metrics, Protocol.Metrics);
-        (C.Sinks.Journal, Protocol.Journal);
-        (C.Sinks.Trace, Protocol.Trace);
-      ]
+      (fun (name, a) -> Option.map (fun _ -> a) (sink name))
+      Options.artifact_names
   in
-  let options =
-    {
-      Protocol.kind;
-      router;
-      budgeting;
-      seed;
-      rate;
-      deadline_ms = deadline;
-      artifacts;
-    }
-  in
+  let options = { o with artifacts } in
   let timeout_s = if timeout > 0.0 then Some timeout else None in
   let response =
     Client.request ?timeout_s socket
@@ -187,16 +162,7 @@ let route socket timeout circuit scale seed rate router budgeting kind deadline
          daemon's bytes, not this process's registries, so they must not
          pass through the with_obs flush *)
       List.iter
-        (fun (name, contents) ->
-          let sink =
-            match Protocol.artifact_of_name name with
-            | Some Protocol.Report -> C.Sinks.get sinks C.Sinks.Report
-            | Some Protocol.Metrics -> C.Sinks.get sinks C.Sinks.Metrics
-            | Some Protocol.Journal -> C.Sinks.get sinks C.Sinks.Journal
-            | Some Protocol.Trace -> C.Sinks.get sinks C.Sinks.Trace
-            | None -> None
-          in
-          write_artifact ~claimed sink contents)
+        (fun (name, contents) -> write_artifact (sink name) contents)
         artifacts;
       List.iter (fun line -> Format.fprintf out "%s@." line) findings;
       Format.fprintf out "gsino_serve: %s: %s@." status summary;
@@ -214,8 +180,9 @@ let route_cmd =
     (Cmd.info "route" ~doc)
     Term.(
       const route $ socket_arg $ timeout_arg $ C.circuit_arg
-      $ C.scale_arg ~default:0.02 () $ C.seed_arg $ C.rate_arg $ C.router_arg
-      $ C.budgeting_arg $ kind_arg $ C.deadline_arg $ netlist_file_arg
+      $ C.scale_arg ~default:0.02 ()
+      $ C.Opts.(term [ Kind; Router; Budgeting; Seed; Rate; Deadline ])
+      $ netlist_file_arg
       $ Arg.(value & flag & info [ "pretty" ] ~doc:"Human-readable diagnostics.")
       $ C.Sinks.(term [ Trace; Metrics; Journal; Report ])
       $ C.verbose_arg $ C.quiet_arg)

@@ -110,39 +110,18 @@ let write_file path evs =
 
 (* ------------------------------ loading ------------------------------ *)
 
-exception Bad of string
-
-let fail fmt = Printf.ksprintf (fun msg -> raise (Bad msg)) fmt
+let fail = Json.decode_error
 
 let event_of_json line j =
-  let str what = function
-    | Json.Str s -> s
-    | Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.List _
-    | Json.Obj _ ->
-        fail "line %d: %s: expected a string" line what
+  (* every reader names the line and the field it rejects *)
+  let at what = Printf.sprintf "line %d: %s" line what in
+  let obj read what v =
+    List.map
+      (fun (k, x) -> (k, read (at (what ^ "." ^ k)) x))
+      (Json.get_obj (at what) v)
   in
-  let strs what = function
-    | Json.Obj fields ->
-        List.map (fun (k, v) -> (k, str (what ^ "." ^ k) v)) fields
-    | Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.Str _
-    | Json.List _ ->
-        fail "line %d: %s: expected an object" line what
-  in
-  let nums what = function
-    | Json.Obj fields ->
-        List.map
-          (fun (k, v) ->
-            match v with
-            | Json.Int i -> (k, float_of_int i)
-            | Json.Float f -> (k, f)
-            | Json.Null | Json.Bool _ | Json.Str _ | Json.List _ | Json.Obj _
-              ->
-                fail "line %d: %s.%s: expected a number" line what k)
-          fields
-    | Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.Str _
-    | Json.List _ ->
-        fail "line %d: %s: expected an object" line what
-  in
+  let str what v = Json.get_string (at what) v in
+  let strs = obj Json.get_string and nums = obj Json.get_number in
   let ev =
     match Json.member "ev" j with
     | Some v -> str "ev" v
@@ -191,7 +170,7 @@ let read_channel ic =
     List.rev !evs
   with
   | evs -> Ok evs
-  | exception Bad msg -> Error msg
+  | exception Json.Decode_error msg -> Error msg
 
 let load path =
   if path = "-" then read_channel stdin

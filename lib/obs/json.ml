@@ -73,6 +73,43 @@ let member key = function
   | Obj fields -> List.assoc_opt key fields
   | Null | Bool _ | Int _ | Float _ | Str _ | List _ -> None
 
+(* --------------------------- strict readers --------------------------- *)
+
+exception Decode_error of string
+
+let decode_error fmt = Printf.ksprintf (fun msg -> raise (Decode_error msg)) fmt
+
+let get_string what = function
+  | Str s -> s
+  | Null | Bool _ | Int _ | Float _ | List _ | Obj _ ->
+      decode_error "%s: expected a string" what
+
+let get_int what = function
+  | Int i -> i
+  | Null | Bool _ | Float _ | Str _ | List _ | Obj _ ->
+      decode_error "%s: expected an integer" what
+
+let get_number what = function
+  | Int i -> float_of_int i
+  | Float f -> f
+  | Null | Bool _ | Str _ | List _ | Obj _ ->
+      decode_error "%s: expected a number" what
+
+let get_bool what = function
+  | Bool b -> b
+  | Null | Int _ | Float _ | Str _ | List _ | Obj _ ->
+      decode_error "%s: expected a boolean" what
+
+let get_list what = function
+  | List l -> l
+  | Null | Bool _ | Int _ | Float _ | Str _ | Obj _ ->
+      decode_error "%s: expected a list" what
+
+let get_obj what = function
+  | Obj fields -> fields
+  | Null | Bool _ | Int _ | Float _ | Str _ | List _ ->
+      decode_error "%s: expected an object" what
+
 (* ------------------------------ parser ------------------------------ *)
 
 exception Parse_error of int * string

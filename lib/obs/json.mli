@@ -38,3 +38,19 @@ val read_file : string -> (t, string) result
 
 (** Object field lookup; [None] on non-objects or missing keys. *)
 val member : string -> t -> t option
+
+(** {1 Strict readers} for hand-written decoders: [get_int what v] is
+    [v]'s integer, or raises [Decode_error "WHAT: expected an integer"]
+    for any other shape ([get_number] also accepts integers). *)
+
+exception Decode_error of string
+
+(** [decode_error fmt ...] raises [Decode_error] with that message. *)
+val decode_error : ('a, unit, string, 'b) format4 -> 'a
+
+val get_string : string -> t -> string
+val get_int : string -> t -> int
+val get_number : string -> t -> float
+val get_bool : string -> t -> bool
+val get_list : string -> t -> t list
+val get_obj : string -> t -> (string * t) list

@@ -336,28 +336,9 @@ let write_json path s = Json.write_file path (to_json s)
 
 (* ------------------------- snapshot loading ------------------------- *)
 
-exception Bad of string
-
 let of_json j =
-  let fail fmt = Printf.ksprintf (fun msg -> raise (Bad msg)) fmt in
-  let str what = function
-    | Json.Str s -> s
-    | Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.List _
-    | Json.Obj _ ->
-        fail "%s: expected a string" what
-  in
-  let num what = function
-    | Json.Int i -> float_of_int i
-    | Json.Float f -> f
-    | Json.Null | Json.Bool _ | Json.Str _ | Json.List _ | Json.Obj _ ->
-        fail "%s: expected a number" what
-  in
-  let int what = function
-    | Json.Int i -> i
-    | Json.Null | Json.Bool _ | Json.Float _ | Json.Str _ | Json.List _
-    | Json.Obj _ ->
-        fail "%s: expected an integer" what
-  in
+  let fail = Json.decode_error in
+  let str = Json.get_string and num = Json.get_number and int = Json.get_int in
   let field what o key =
     match Json.member key o with
     | Some v -> v
@@ -396,17 +377,11 @@ let of_json j =
                 fail "%s.%s: expected number or null" name what
           in
           let buckets =
-            match field name j "buckets" with
-            | Json.List bs ->
-                List.map
-                  (fun b ->
-                    ( bucket_of_le (num (name ^ ".le") (field name b "le")),
-                      int (name ^ ".bucket count") (field name b "count") ))
-                  bs
-                |> List.sort compare
-            | Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.Str _
-            | Json.Obj _ ->
-                fail "%s.buckets: expected a list" name
+            Json.get_list (name ^ ".buckets") (field name j "buckets")
+            |> List.map (fun b ->
+                   ( bucket_of_le (num (name ^ ".le") (field name b "le")),
+                     int (name ^ ".bucket count") (field name b "count") ))
+            |> List.sort compare
           in
           Histogram
             {
@@ -424,14 +399,11 @@ let of_json j =
     (match str "schema" (field "snapshot" j "schema") with
     | "gsino-metrics-v1" -> ()
     | schema -> fail "unsupported schema %s (want gsino-metrics-v1)" schema);
-    match field "snapshot" j "metrics" with
-    | Json.List ms -> List.sort compare (List.map entry_of ms)
-    | Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.Str _
-    | Json.Obj _ ->
-        fail "metrics: expected a list"
+    Json.get_list "metrics" (field "snapshot" j "metrics")
+    |> List.map entry_of |> List.sort compare
   with
   | entries -> Ok entries
-  | exception Bad msg -> Error msg
+  | exception Json.Decode_error msg -> Error msg
 
 let read_json path =
   match Json.read_file path with

@@ -98,22 +98,9 @@ let read_frame ?(max = max_frame_default) ?timeout_s fd =
 
 (* ------------------------- request vocabulary ------------------------ *)
 
-type artifact = Report | Metrics | Journal | Trace
+type artifact = Gsino.Options.artifact = Report | Metrics | Journal | Trace
 
-let artifact_name = function
-  | Report -> "report"
-  | Metrics -> "metrics"
-  | Journal -> "journal"
-  | Trace -> "trace"
-
-let artifact_of_name = function
-  | "report" -> Some Report
-  | "metrics" -> Some Metrics
-  | "journal" -> Some Journal
-  | "trace" -> Some Trace
-  | _ -> None
-
-type options = {
+type options = Gsino.Options.t = {
   kind : Flow.kind;
   router : Flow.router;
   budgeting : Flow.budgeting;
@@ -123,16 +110,7 @@ type options = {
   artifacts : artifact list;
 }
 
-let default_options =
-  {
-    kind = Flow.Gsino;
-    router = Flow.Iterative_deletion;
-    budgeting = Flow.Uniform;
-    seed = 7;
-    rate = 0.30;
-    deadline_ms = 0;
-    artifacts = [];
-  }
+let default_options = Gsino.Options.default
 
 type request = Ping | Stats | Route of { netlist : string; options : options }
 
@@ -172,49 +150,6 @@ let error_response e =
 
 (* ------------------------------ encoding ----------------------------- *)
 
-let flow_name = function
-  | Flow.Id_no -> "idno"
-  | Flow.Isino -> "isino"
-  | Flow.Gsino -> "gsino"
-
-let flow_of_name = function
-  | "idno" -> Some Flow.Id_no
-  | "isino" -> Some Flow.Isino
-  | "gsino" -> Some Flow.Gsino
-  | _ -> None
-
-let router_name = function
-  | Flow.Iterative_deletion -> "id"
-  | Flow.Negotiated -> "nc"
-
-let router_of_name = function
-  | "id" -> Some Flow.Iterative_deletion
-  | "nc" -> Some Flow.Negotiated
-  | _ -> None
-
-let budgeting_name = function
-  | Flow.Uniform -> "uniform"
-  | Flow.Route_aware -> "route-aware"
-
-let budgeting_of_name = function
-  | "uniform" -> Some Flow.Uniform
-  | "route-aware" -> Some Flow.Route_aware
-  | _ -> None
-
-let options_to_json o =
-  Json.Obj
-    [
-      ("flow", Json.Str (flow_name o.kind));
-      ("router", Json.Str (router_name o.router));
-      ("budgeting", Json.Str (budgeting_name o.budgeting));
-      ("seed", Json.Int o.seed);
-      ("rate", Json.Float o.rate);
-      ("deadline_ms", Json.Int o.deadline_ms);
-      ( "artifacts",
-        Json.List (List.map (fun a -> Json.Str (artifact_name a)) o.artifacts)
-      );
-    ]
-
 let with_schema fields = Json.Obj (("schema", Json.Str schema) :: fields)
 
 let request_to_json = function
@@ -225,7 +160,7 @@ let request_to_json = function
         [
           ("kind", Json.Str "route");
           ("netlist", Json.Str netlist);
-          ("options", options_to_json options);
+          ("options", Gsino.Options.to_json options);
         ]
 
 let stats_to_json s =
@@ -271,35 +206,10 @@ let response_to_json = function
 
 (* ------------------------------ decoding ----------------------------- *)
 
-exception Bad of string
-
-let bad fmt = Printf.ksprintf (fun msg -> raise (Bad msg)) fmt
-
+let bad = Json.decode_error
+let str = Json.get_string
+let int_ = Json.get_int
 let reject_of_bad detail = Error.Frame { what = "bad-schema"; detail }
-
-let str what = function
-  | Json.Str s -> s
-  | Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.List _
-  | Json.Obj _ ->
-      bad "%s: expected a string" what
-
-let int_ what = function
-  | Json.Int i -> i
-  | Json.Null | Json.Bool _ | Json.Float _ | Json.Str _ | Json.List _
-  | Json.Obj _ ->
-      bad "%s: expected an integer" what
-
-let num what = function
-  | Json.Int i -> float_of_int i
-  | Json.Float f -> f
-  | Json.Null | Json.Bool _ | Json.Str _ | Json.List _ | Json.Obj _ ->
-      bad "%s: expected a number" what
-
-let bool_ what = function
-  | Json.Bool b -> b
-  | Json.Null | Json.Int _ | Json.Float _ | Json.Str _ | Json.List _
-  | Json.Obj _ ->
-      bad "%s: expected a boolean" what
 
 let field what j key =
   match Json.member key j with
@@ -316,47 +226,6 @@ let check_schema j =
   | None ->
       bad "missing schema field (want %s)" schema
 
-let named what of_name v =
-  let name = str what v in
-  match of_name name with
-  | Some x -> x
-  | None -> bad "%s: unknown value %S" what name
-
-let options_of_json j =
-  match j with
-  | Json.Obj fields ->
-      List.fold_left
-        (fun o (k, v) ->
-          match k with
-          | "flow" -> { o with kind = named "options.flow" flow_of_name v }
-          | "router" ->
-              { o with router = named "options.router" router_of_name v }
-          | "budgeting" ->
-              {
-                o with
-                budgeting = named "options.budgeting" budgeting_of_name v;
-              }
-          | "seed" -> { o with seed = int_ "options.seed" v }
-          | "rate" -> { o with rate = num "options.rate" v }
-          | "deadline_ms" ->
-              { o with deadline_ms = int_ "options.deadline_ms" v }
-          | "artifacts" -> (
-              match v with
-              | Json.List l ->
-                  {
-                    o with
-                    artifacts =
-                      List.map (named "options.artifacts" artifact_of_name) l;
-                  }
-              | Json.Null | Json.Bool _ | Json.Int _ | Json.Float _
-              | Json.Str _ | Json.Obj _ ->
-                  bad "options.artifacts: expected a list")
-          | k -> bad "options: unknown field %S" k)
-        default_options fields
-  | Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.Str _
-  | Json.List _ ->
-      bad "options: expected an object"
-
 let request_of_json j =
   try
     check_schema j;
@@ -365,14 +234,13 @@ let request_of_json j =
     | "stats" -> Ok Stats
     | "route" ->
         let netlist = str "netlist" (field "route request" j "netlist") in
-        let options =
-          match Json.member "options" j with
-          | Some o -> options_of_json o
-          | None -> default_options
-        in
-        Ok (Route { netlist; options })
+        Result.map
+          (fun options -> Route { netlist; options })
+          (match Json.member "options" j with
+          | Some o -> Gsino.Options.of_json o
+          | None -> Ok default_options)
     | k -> bad "unknown request kind %S" k
-  with Bad msg -> Error (reject_of_bad msg)
+  with Json.Decode_error msg -> Error (reject_of_bad msg)
 
 let request_of_string s =
   match Json.of_string s with
@@ -381,23 +249,20 @@ let request_of_string s =
 
 let stats_of_json j =
   {
-    uptime_s = num "uptime_s" (field "stats" j "uptime_s");
+    uptime_s = Json.get_number "uptime_s" (field "stats" j "uptime_s");
     served = int_ "served" (field "stats" j "served");
     errors = int_ "errors" (field "stats" j "errors");
     disconnects = int_ "disconnects" (field "stats" j "disconnects");
     rejected =
-      (match field "stats" j "rejected" with
-      | Json.Obj fields ->
-          List.map (fun (k, v) -> (k, int_ ("rejected." ^ k) v)) fields
-      | Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.Str _
-      | Json.List _ ->
-          bad "stats.rejected: expected an object");
+      List.map
+        (fun (k, v) -> (k, int_ ("rejected." ^ k) v))
+        (Json.get_obj "stats.rejected" (field "stats" j "rejected"));
     queue_depth = int_ "queue_depth" (field "stats" j "queue_depth");
     active = int_ "active" (field "stats" j "active");
     workers = int_ "workers" (field "stats" j "workers");
     jobs = int_ "jobs" (field "stats" j "jobs");
     cache_len = int_ "cache_len" (field "stats" j "cache_len");
-    draining = bool_ "draining" (field "stats" j "draining");
+    draining = Json.get_bool "draining" (field "stats" j "draining");
   }
 
 let response_of_json j =
@@ -407,12 +272,7 @@ let response_of_json j =
     | "pong" -> Ok Pong
     | "stats" -> Ok (Stats_reply (stats_of_json j))
     | "result" ->
-        let strs what = function
-          | Json.List l -> List.map (str what) l
-          | Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.Str _
-          | Json.Obj _ ->
-              bad "%s: expected a list" what
-        in
+        let strs what v = List.map (str what) (Json.get_list what v) in
         Ok
           (Result
              {
@@ -420,14 +280,10 @@ let response_of_json j =
                summary = str "summary" (field "result" j "summary");
                findings = strs "findings" (field "result" j "findings");
                artifacts =
-                 (match field "result" j "artifacts" with
-                 | Json.Obj fields ->
-                     List.map
-                       (fun (k, v) -> (k, str ("artifacts." ^ k) v))
-                       fields
-                 | Json.Null | Json.Bool _ | Json.Int _ | Json.Float _
-                 | Json.Str _ | Json.List _ ->
-                     bad "result.artifacts: expected an object");
+                 List.map
+                   (fun (k, v) -> (k, str ("artifacts." ^ k) v))
+                   (Json.get_obj "result.artifacts"
+                      (field "result" j "artifacts"));
              })
     | "error" ->
         Ok
@@ -439,7 +295,7 @@ let response_of_json j =
                message = str "message" (field "error" j "message");
              })
     | k -> bad "unknown response kind %S" k
-  with Bad msg -> Error (reject_of_bad msg)
+  with Json.Decode_error msg -> Error (reject_of_bad msg)
 
 let response_of_string s =
   match Json.of_string s with

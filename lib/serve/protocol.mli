@@ -11,12 +11,12 @@
     - [{"kind": "ping"}] — liveness probe, answered with [pong];
     - [{"kind": "stats"}] — daemon health snapshot;
     - [{"kind": "route", "netlist": "<gsino-netlist v1 text>",
-       "options": {...}}] — run the flow.  [options] mirrors
-      {!Gsino.Flow.Config} where a client may choose ([flow], [router],
-      [budgeting], [seed], [rate], [deadline_ms]) plus the [artifacts]
-      the response should embed; [jobs] and the panel cache stay server
-      decisions.  Unknown option fields are rejected, not ignored — a
-      typo must not silently change a routing run.
+       "options": {...}}] — run the flow.  [options] is
+      {!Gsino.Options.to_json}: [flow], [router], [budgeting], [seed],
+      [rate], [deadline_ms] plus the [artifacts] the response should
+      embed, with the CLI's value names; [jobs] and the panel cache stay
+      server decisions.  Unknown option fields and values are rejected,
+      not ignored — a typo must not silently change a routing run.
 
     Responses: [pong], [stats], [result] (status ["ok"]/["degraded"],
     the one-line summary, lint findings, and the requested artifacts as
@@ -58,14 +58,12 @@ type read_result =
 val read_frame :
   ?max:int -> ?timeout_s:float -> Unix.file_descr -> read_result
 
-(** {1 Vocabulary} *)
+(** {1 Vocabulary} — the request options are {!Gsino.Options},
+    re-exported. *)
 
-type artifact = Report | Metrics | Journal | Trace
+type artifact = Gsino.Options.artifact = Report | Metrics | Journal | Trace
 
-val artifact_name : artifact -> string
-val artifact_of_name : string -> artifact option
-
-type options = {
+type options = Gsino.Options.t = {
   kind : Gsino.Flow.kind;
   router : Gsino.Flow.router;
   budgeting : Gsino.Flow.budgeting;
@@ -75,10 +73,8 @@ type options = {
   artifacts : artifact list;  (** artifacts to embed in the result *)
 }
 
-(** [gsino] flow, iterative deletion, uniform budgeting, seed 7, rate
-    0.30, no deadline, no artifacts — the same defaults as the batch
-    CLIs, so an empty [options] object routes exactly like
-    [gsino_lint -k gsino]. *)
+(** {!Gsino.Options.default}: an empty [options] object routes exactly
+    like [gsino_lint -k gsino]. *)
 val default_options : options
 
 type request = Ping | Stats | Route of { netlist : string; options : options }

@@ -8,9 +8,9 @@ module Error = Eda_guard.Error
 module Deadline = Eda_guard.Deadline
 module Fault = Eda_guard.Fault
 module Flow = Gsino.Flow
+module Options = Gsino.Options
 module Tech = Gsino.Tech
 module Diag = Eda_check.Diag
-module Sensitivity = Eda_netlist.Sensitivity
 module Io = Eda_netlist.Io
 module Cache = Eda_sino.Cache
 
@@ -237,54 +237,38 @@ let effective_budget_ms t (options : Protocol.options) =
   let req = max 0 options.deadline_ms and cap = t.cfg.request_deadline_ms in
   if cap <= 0 then req else if req <= 0 then cap else min req cap
 
-(* The route computation itself, mirroring gsino_lint's sequence exactly
-   (prepare on the GSINO config, sensitivity from seed lxor 0xbeef, one
-   Flow.run, Flow.check) so a served response is byte-comparable to the
-   batch CLI's artifacts. *)
+(* The route computation itself: gsino_lint's recipe (Options.route),
+   so a served response is byte-comparable to the batch CLI's
+   artifacts. *)
 let route_result t pool (job : job) deadline =
   Fault.point "serve.request";
-  let { Protocol.kind; router; budgeting; seed; rate; artifacts; _ } =
-    job.options
-  in
   let tech = Tech.default in
   let netlist = Io.of_string job.netlist_text in
-  let config kind =
-    {
-      Flow.Config.default with
-      Flow.Config.kind;
-      router;
-      budgeting;
-      seed;
-      jobs = t.cfg.jobs;
-    }
+  (* config.deadline_ms is not read: [deadline] is the armed, capped one *)
+  let config = Options.to_config ~jobs:t.cfg.jobs job.options in
+  let result r diags =
+    let artifact a =
+      ( Options.name Options.artifact_names a,
+        match a with
+        | Protocol.Report ->
+            Eda_reportviz.Run_report.text ~tech ~snapshot:(Metrics.snapshot ())
+              r
+        | Protocol.Metrics ->
+            Json.to_string (Metrics.to_json (Metrics.snapshot ())) ^ "\n"
+        | Protocol.Journal -> Journal.to_string (Journal.events ())
+        | Protocol.Trace -> Json.to_string (Trace.to_chrome_json ()) ^ "\n" )
+    in
+    Protocol.Result
+      {
+        status = (if Flow.degraded r then "degraded" else "ok");
+        summary = Format.asprintf "%a" Flow.pp_summary r;
+        findings = List.map Diag.to_line diags;
+        artifacts = List.map artifact job.options.artifacts;
+      }
   in
-  let grid, base =
-    Flow.prepare ~config:(config Flow.Gsino) ~pool tech netlist
-  in
-  let sensitivity = Sensitivity.make ~seed:(seed lxor 0xbeef) ~rate in
-  let r =
-    Flow.run ~grid ~base ~pool ~cache:t.cache ~deadline (config kind) tech
-      ~sensitivity netlist
-  in
-  let diags = Flow.check ~tech r in
-  let artifact = function
-    | Protocol.Report ->
-        ( "report",
-          Eda_reportviz.Run_report.text ~tech ~snapshot:(Metrics.snapshot ()) r
-        )
-    | Protocol.Metrics ->
-        ("metrics", Json.to_string (Metrics.to_json (Metrics.snapshot ())) ^ "\n")
-    | Protocol.Journal -> ("journal", Journal.to_string (Journal.events ()))
-    | Protocol.Trace ->
-        ("trace", Json.to_string (Trace.to_chrome_json ()) ^ "\n")
-  in
-  Protocol.Result
-    {
-      status = (if Flow.degraded r then "degraded" else "ok");
-      summary = Format.asprintf "%a" Flow.pp_summary r;
-      findings = List.map Diag.to_line diags;
-      artifacts = List.map artifact artifacts;
-    }
+  List.hd
+    (Options.route ~pool ~cache:t.cache ~deadline ~config tech
+       job.options netlist result)
 
 let handle_route t pool (job : job) =
   let deadline =

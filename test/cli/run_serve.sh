@@ -4,6 +4,8 @@
 #
 # - daemon starts, ping/stats/route round-trip, exit codes mirror the
 #   batch drivers (0 ok, 1 findings, 5 injected internal, 7 client i/o)
+# - a served route with every flow option off its default prints the
+#   same finding lines and exits like gsino_lint with the same flags
 # - an injected serve.request fault (GSINO_FAULTS) comes back as a
 #   framed GSL0022 error on that request only — the daemon answers the
 #   next well-formed request
@@ -18,6 +20,7 @@
 set -u
 
 SERVE=$(realpath "$1")
+LINT=$(realpath "$2")
 
 work=$(mktemp -d)
 cd "$work"
@@ -86,6 +89,28 @@ expect 0 "stats" -- "$SERVE" stats --socket main.sock
 expect 0 "route ok" -- "$SERVE" route --socket main.sock "${base[@]}" -k gsino
 grep -q "gsino_serve: ok:" stdout.log || {
   echo "FAIL route: no summary line"; failures=$((failures + 1)); }
+
+# serve == lint parity: kind, router, budgeting, rate and seed all
+# cross the wire and the daemon runs gsino_lint's recipe on them
+parity=(-c ibm01 -s 0.02 --seed 3 -r 0.5 -k isino --router nc
+  --budgeting route-aware)
+"$LINT" "${parity[@]}" --jobs 1 --max-print 0 -q >lint_parity.out 2>&1
+lint_code=$?
+"$SERVE" route --socket main.sock "${parity[@]}" -q >serve_parity.out 2>&1
+serve_code=$?
+grep '^GSL' lint_parity.out >lint_parity.find
+grep '^GSL' serve_parity.out >serve_parity.find
+if [ "$lint_code" -ne "$serve_code" ]; then
+  echo "FAIL parity: serve exit $serve_code, lint exit $lint_code"
+  failures=$((failures + 1))
+elif [ ! -s lint_parity.find ] || ! cmp -s lint_parity.find serve_parity.find; then
+  echo "FAIL parity: served findings differ from gsino_lint's"
+  diff lint_parity.find serve_parity.find | sed 's/^/  /'
+  failures=$((failures + 1))
+else
+  echo "ok   route -k isino --router nc --budgeting route-aware ==" \
+    "gsino_lint ($(wc -l <lint_parity.find) findings)"
+fi
 
 # deadline expiry degrades this request only: batch-compatible exit 1
 # (Error-severity GSL findings on the degraded result), daemon alive

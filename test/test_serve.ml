@@ -152,6 +152,77 @@ let test_codec_roundtrip () =
       | Error e -> Alcotest.fail (Error.to_string e))
     resps
 
+(* every enum value and every artifact subset survives the wire *)
+let test_options_roundtrip () =
+  let subsets =
+    List.fold_left
+      (fun acc a -> acc @ List.map (fun s -> s @ [ a ]) acc)
+      [ [] ]
+      (List.map snd Options.artifact_names)
+  in
+  Alcotest.(check int) "artifact subsets" 16 (List.length subsets);
+  let d = Options.default in
+  let cases =
+    List.map (fun (_, kind) -> { d with kind }) Options.kind_names
+    @ List.map (fun (_, router) -> { d with router }) Options.router_names
+    @ List.map
+        (fun (_, budgeting) -> { d with budgeting })
+        Options.budgeting_names
+    @ List.map (fun artifacts -> { d with artifacts }) subsets
+    @ [ { d with seed = 3; rate = 0.5; deadline_ms = 250 } ]
+  in
+  List.iter
+    (fun options ->
+      let req = Protocol.Route { netlist = "x"; options } in
+      let s = Eda_obs.Json.to_string (Protocol.request_to_json req) in
+      match Protocol.request_of_string s with
+      | Ok req' -> Alcotest.(check bool) ("round-trips: " ^ s) true (req = req')
+      | Error e -> Alcotest.fail (Error.to_string e))
+    cases
+
+(* the CLI flags and the wire accept the same spellings: each value name
+   parsed by Cli_common's options term decodes to the same value when a
+   client sends that name *)
+let test_cli_names_decode () =
+  let cli argv =
+    let cmd =
+      Cmdliner.Cmd.v (Cmdliner.Cmd.info "t")
+        Cli_common.Opts.(term [ Kind; Router; Budgeting; Seed; Rate; Deadline ])
+    in
+    let null = Format.make_formatter (fun _ _ _ -> ()) (fun () -> ()) in
+    match
+      Cmdliner.Cmd.eval_value ~err:null ~argv:(Array.of_list ("t" :: argv)) cmd
+    with
+    | Ok (`Ok o) -> o
+    | Ok (`Help | `Version) | Error _ ->
+        Alcotest.fail ("CLI rejected " ^ String.concat " " argv)
+  in
+  let wire field name =
+    let s =
+      Printf.sprintf
+        {|{"schema":"gsino-serve-v1","kind":"route","netlist":"x","options":{%S:%S}}|}
+        field name
+    in
+    match Protocol.request_of_string s with
+    | Ok (Protocol.Route { options; _ }) -> options
+    | Ok (Protocol.Ping | Protocol.Stats) -> Alcotest.fail "not a route"
+    | Error e -> Alcotest.fail (name ^ ": " ^ Error.to_string e)
+  in
+  let check flag field names get =
+    List.iter
+      (fun (name, _) ->
+        Alcotest.(check bool)
+          (Printf.sprintf "%s %s" flag name)
+          true
+          (get (cli [ flag; name ]) = get (wire field name)))
+      names
+  in
+  check "--kind" "flow" Options.kind_names (fun o -> o.Options.kind);
+  check "--router" "router" Options.router_names (fun o -> o.Options.router);
+  check "--budgeting" "budgeting" Options.budgeting_names (fun o ->
+      o.Options.budgeting);
+  Alcotest.(check bool) "defaults agree" true (cli [] = Protocol.default_options)
+
 let test_codec_rejects () =
   let bad =
     [
@@ -159,6 +230,8 @@ let test_codec_rejects () =
       {|{"schema":"gsino-serve-v0","kind":"ping"}|};
       {|{"schema":"gsino-serve-v1","kind":"launch-missiles"}|};
       {|{"schema":"gsino-serve-v1","kind":"route","netlist":"x","options":{"typo":1}}|};
+      {|{"schema":"gsino-serve-v1","kind":"route","netlist":"x","options":{"flow":"idno"}}|};
+      {|{"schema":"gsino-serve-v1","kind":"route","netlist":"x","options":{"router":"maze"}}|};
     ]
   in
   List.iter
@@ -379,6 +452,9 @@ let suites =
       [
         Alcotest.test_case "codec round-trips" `Quick test_codec_roundtrip;
         Alcotest.test_case "codec rejects garbage" `Quick test_codec_rejects;
+        Alcotest.test_case "options round-trip" `Quick test_options_roundtrip;
+        Alcotest.test_case "CLI names decode on the wire" `Quick
+          test_cli_names_decode;
       ] );
     ( "serve.daemon",
       [
