@@ -233,10 +233,10 @@ module Sinks = struct
         ( "journal",
           "Record the attribution journal — dimension-keyed cost events \
            (per-net route churn, per-region reweights, per-panel SINO \
-           time/moves/outcome with canonical panel signatures and cache \
-           hit/miss/stored dispositions) — and write it as gsino-journal-v1 \
-           JSONL to $(docv) on exit; '-' writes it to stdout and silences \
-           the human-readable output.  Drill down with $(b,gsino_explain)." )
+           time/moves/outcome with canonical panel signatures) — and \
+           write it as gsino-journal-v1 JSONL to $(docv) on exit; '-' writes \
+           it to stdout and silences the human-readable output.  Drill \
+           down with $(b,gsino_explain)." )
     | Report ->
         ( "report",
           "Write a self-contained HTML run report for the GSINO flow \
@@ -278,39 +278,6 @@ module Sinks = struct
           { trace; profile; metrics; journal; report })
       $ mk Trace $ mk Profile $ mk Metrics $ mk Journal $ mk Report)
 end
-
-(* ---------------- panel cache ---------------- *)
-
-(* (enabled, directory): what Flow.Config.{cache, cache_dir} consume.
-   The cache never changes a byte of output (DESIGN §10), so both flags
-   are pure performance knobs. *)
-let panel_cache_term =
-  let dir_arg =
-    let doc =
-      "Persist the content-addressed SINO panel cache in $(docv): solved \
-       panels are loaded before Phase II and saved back after refinement, \
-       so later runs (any circuit, any driver) skip re-solving identical \
-       panels.  Cached solutions are byte-identical to fresh ones.  A \
-       missing or corrupt store is treated as empty, never an error."
-    in
-    let env =
-      Cmd.Env.info "GSINO_PANEL_CACHE"
-        ~doc:"Default directory for $(b,--panel-cache)."
-    in
-    Arg.(value & opt (some string) None & info [ "panel-cache" ] ~docv:"DIR" ~env ~doc)
-  in
-  let off_arg =
-    let doc =
-      "Disable the in-process SINO panel cache (and ignore \
-       $(b,--panel-cache) / $(b,GSINO_PANEL_CACHE)).  Solutions are \
-       unchanged — this only stops repeat panels from being memoized; \
-       useful for measuring the cache's effect."
-    in
-    Arg.(value & flag & info [ "no-panel-cache" ] ~doc)
-  in
-  Term.(
-    const (fun dir off -> (not off, if off then None else dir))
-    $ dir_arg $ off_arg)
 
 (* ---------------- stdout arbitration ---------------- *)
 

@@ -4,9 +4,9 @@
    the views the perf work needs: top-K hottest nets / regions / panels
    by time or churn, a per-net provenance chain (budget -> route ->
    panel -> refine touches), and duplicate-panel grouping by canonical
-   signature (`--by-signature`) — the measurement that sizes the
-   content-addressed panel cache before it is built.  Exit status: 0 on
-   success, 2 when the journal cannot be read. *)
+   signature (`--by-signature`) — the recurrence measurement behind the
+   panel-cache verdict (DESIGN §10).  Exit status: 0 on success, 2 when
+   the journal cannot be read. *)
 open Cmdliner
 module Journal = Eda_obs.Journal
 module Agg = Journal.Agg

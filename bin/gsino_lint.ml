@@ -18,15 +18,14 @@ let netlist_file_arg =
     ~doc:"Audit FILE (gsino-netlist v1) instead of a generated circuit."
 
 let lint circuit scale (o : Options.t) kinds jobs netlist_file pretty max_print
-    errors_only sinks panel_cache progress verbose quiet =
+    errors_only sinks progress verbose quiet =
   let claimed = C.claim_stdout ~prog:"gsino_lint" sinks in
   let out = C.out_formatter ~claimed in
   C.with_obs ~pretty ~prog:"gsino_lint" ~progress ~sinks ~verbose ~quiet
   @@ fun () ->
   let tech = Tech.default in
   let netlist = C.netlist_of tech ~circuit ~scale ~seed:o.seed netlist_file in
-  let cache, cache_dir = panel_cache in
-  let config = { (Options.to_config ~jobs o) with cache; cache_dir } in
+  let config = Options.to_config ~jobs o in
   let lint_one r diags =
     C.print_diags out ~pretty ~max_print ~errors_only diags;
     Format.fprintf out "gsino_lint: %s on %s: %a@."
@@ -63,6 +62,6 @@ let cmd =
           ~doc:"Print at most $(docv) diagnostics per flow (0 = unlimited)."
       $ C.errors_only_arg
       $ C.Sinks.(term [ Trace; Profile; Metrics; Journal ])
-      $ C.panel_cache_term $ C.progress_arg $ C.verbose_arg $ C.quiet_arg)
+      $ C.progress_arg $ C.verbose_arg $ C.quiet_arg)
 
 let () = exit (Cmd.eval' cmd)

@@ -21,8 +21,8 @@ let netlist_file_arg =
        one."
 
 let run_cmd =
-  let run circuit scale (o : Options.t) jobs audit netlist_file sinks
-      panel_cache progress verbose quiet =
+  let run circuit scale (o : Options.t) jobs audit netlist_file sinks progress
+      verbose quiet =
     let claimed = C.claim_stdout ~prog:"gsino_run" sinks in
     let out = C.out_formatter ~claimed in
     C.with_obs ~prog:"gsino_run" ~progress ~sinks ~verbose ~quiet
@@ -30,8 +30,7 @@ let run_cmd =
     let tech = Tech.default in
     let netlist = C.netlist_of tech ~circuit ~scale ~seed:o.seed netlist_file in
     Format.fprintf out "%a@." Eda_netlist.Netlist.pp_summary netlist;
-    let cache, cache_dir = panel_cache in
-    let config = { (Options.to_config ~jobs o) with audit; cache; cache_dir } in
+    let config = { (Options.to_config ~jobs o) with audit } in
     let checked =
       Options.route ~config tech o netlist
         ~kinds:(List.map snd Options.kind_names)
@@ -83,14 +82,13 @@ let run_cmd =
     Term.(const run $ C.circuit_arg $ C.scale_arg ()
           $ C.Opts.(term [ Router; Budgeting; Seed; Rate; Deadline ])
           $ C.jobs_arg $ C.audit_arg $ netlist_file_arg $ C.Sinks.term C.Sinks.all
-          $ C.panel_cache_term $ C.progress_arg $ C.verbose_arg $ C.quiet_arg)
+          $ C.progress_arg $ C.verbose_arg $ C.quiet_arg)
 
 let map_cmd =
-  let run circuit scale (o : Options.t) jobs netlist_file panel_cache =
+  let run circuit scale (o : Options.t) jobs netlist_file =
     let tech = Tech.default in
     let netlist = C.netlist_of tech ~circuit ~scale ~seed:o.seed netlist_file in
-    let cache, cache_dir = panel_cache in
-    let config = { (Options.to_config ~jobs o) with cache; cache_dir } in
+    let config = Options.to_config ~jobs o in
     let grid, base = Flow.prepare ~config tech netlist in
     let sensitivity = Options.sensitivity o in
     let usage kind =
@@ -107,8 +105,7 @@ let map_cmd =
   let doc = "Print ASCII congestion maps before and after GSINO." in
   Cmd.v (Cmd.info "map" ~doc)
     Term.(const run $ C.circuit_arg $ C.scale_arg ()
-          $ C.Opts.(term [ Seed; Rate ]) $ C.jobs_arg $ netlist_file_arg
-          $ C.panel_cache_term)
+          $ C.Opts.(term [ Seed; Rate ]) $ C.jobs_arg $ netlist_file_arg)
 
 let gen_cmd =
   let run circuit scale seed out =
@@ -129,7 +126,7 @@ let gen_cmd =
     Term.(const run $ C.circuit_arg $ C.scale_arg () $ C.seed_arg $ out_arg)
 
 let suite_cmd =
-  let run scale seed jobs circuits sinks panel_cache progress verbose quiet =
+  let run scale seed jobs circuits sinks progress verbose quiet =
     let claimed = C.claim_stdout ~prog:"gsino_run" sinks in
     let out = C.out_formatter ~claimed in
     C.with_obs ~prog:"gsino_run" ~progress ~sinks ~verbose ~quiet
@@ -139,8 +136,7 @@ let suite_cmd =
       | [] -> Eda_netlist.Generator.all_ibm
       | names -> List.map C.profile_of_name names
     in
-    let cache, cache_dir = panel_cache in
-    let suite = Report.run_suite ~profiles ~jobs ~cache ?cache_dir ~scale ~seed () in
+    let suite = Report.run_suite ~profiles ~jobs ~scale ~seed () in
     Format.fprintf out "%a@.%a@.%a@.%a@.%a@.%a@.%a@." Report.table1 suite
       Report.table2 suite Report.table3 suite Report.violations_summary suite
       Report.timing_summary suite Report.lint_summary suite
@@ -154,7 +150,7 @@ let suite_cmd =
   Cmd.v (Cmd.info "suite" ~doc)
     Term.(const run $ C.scale_arg () $ C.seed_arg $ C.jobs_arg $ circuits_arg
           $ C.Sinks.(term [ Trace; Profile; Metrics; Journal ])
-          $ C.panel_cache_term $ C.progress_arg $ C.verbose_arg $ C.quiet_arg)
+          $ C.progress_arg $ C.verbose_arg $ C.quiet_arg)
 
 let table_cmd =
   let run () =

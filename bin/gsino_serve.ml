@@ -75,10 +75,9 @@ let read_timeout_arg =
      & info [ "read-timeout" ] ~docv:"S" ~doc)
 
 let daemon socket workers jobs queue_bound max_frame request_deadline drain_ms
-    read_timeout panel_cache sinks progress verbose quiet =
+    read_timeout sinks progress verbose quiet =
   ignore (C.claim_stdout ~prog:"gsino_serve" sinks);
   C.with_obs ~prog:"gsino_serve" ~progress ~sinks ~verbose ~quiet @@ fun () ->
-  let _, cache_dir = panel_cache in
   Server.run
     {
       Server.socket;
@@ -89,7 +88,6 @@ let daemon socket workers jobs queue_bound max_frame request_deadline drain_ms
       request_deadline_ms = request_deadline;
       drain_ms;
       read_timeout_s = read_timeout;
-      cache_dir;
     };
   C.exit_ok
 
@@ -100,7 +98,6 @@ let daemon_cmd =
     Term.(
       const daemon $ socket_arg $ workers_arg $ C.jobs_arg $ queue_bound_arg
       $ max_frame_arg $ request_deadline_arg $ drain_ms_arg $ read_timeout_arg
-      $ C.panel_cache_term
       $ C.Sinks.(term [ Metrics ])
       $ C.progress_arg $ C.verbose_arg $ C.quiet_arg)
 
@@ -221,7 +218,6 @@ let print_stats (s : Protocol.stats) =
   Printf.printf "active: %d\n" s.Protocol.active;
   Printf.printf "workers: %d\n" s.Protocol.workers;
   Printf.printf "jobs: %d\n" s.Protocol.jobs;
-  Printf.printf "cache_len: %d\n" s.Protocol.cache_len;
   Printf.printf "draining: %b\n" s.Protocol.draining
 
 let stats socket timeout json verbose quiet =
@@ -264,11 +260,11 @@ let cmd =
          keeps serving.  Admission is bounded (typed 'overloaded' rejects), \
          disconnected clients cancel their in-flight work, and \
          SIGTERM/SIGINT drains gracefully: stop accepting, finish what is \
-         running, flush the panel cache, exit 0.";
+         running, exit 0.";
       `P
         "The client subcommands speak the gsino-serve-v1 framed protocol; \
          $(b,route) mirrors $(b,gsino_lint)'s flags and output, with the \
-         flow executed by the daemon against its warm shared panel cache.";
+         flow executed by the daemon.";
     ]
   in
   Cmd.group (Cmd.info "gsino_serve" ~version:"1.0.0" ~doc ~man)

@@ -43,8 +43,6 @@ module Config = struct
     max_region_retries : int;
     on_infeasible : Eda_guard.Error.policy;
     audit : bool;
-    cache : bool;
-    cache_dir : string option;
   }
 
   let default =
@@ -59,8 +57,6 @@ module Config = struct
       max_region_retries = 2;
       on_infeasible = Eda_guard.Error.Degrade;
       audit = false;
-      cache = true;
-      cache_dir = None;
     }
 end
 
@@ -199,8 +195,7 @@ let prepare ?(config = Config.default) ?pool tech netlist =
   let base = base_routes ~router ~pool tech grid netlist in
   (grid, base)
 
-let run ?grid ?base ?pool ?cache:ext_cache ?deadline config tech ~sensitivity
-    netlist =
+let run ?grid ?base ?pool ?cache ?deadline config tech ~sensitivity netlist =
   let {
     Config.kind;
     router;
@@ -212,8 +207,6 @@ let run ?grid ?base ?pool ?cache:ext_cache ?deadline config tech ~sensitivity
     max_region_retries;
     on_infeasible;
     audit;
-    cache = cache_on;
-    cache_dir;
   } =
     config
   in
@@ -270,23 +263,6 @@ let run ?grid ?base ?pool ?cache:ext_cache ?deadline config tech ~sensitivity
   let mode =
     match kind with Id_no -> Phase2.Order_only | Isino | Gsino -> Phase2.Min_area
   in
-  (* The panel cache is per-run unless [cache_dir] makes it persistent,
-     or the caller supplies one (the serve daemon's shared warm cache,
-     whose lifecycle — load at startup, save at drain — the caller then
-     owns).  Solutions are content-determined either way, so enabling it
-     never changes a byte of output (DESIGN §10) — it only skips repeat
-     work. *)
-  let cache, owns_cache =
-    match ext_cache with
-    | Some c -> ((if cache_on then Some c else None), false)
-    | None ->
-        ( (if not cache_on then None
-           else
-             match cache_dir with
-             | Some dir -> Some (Eda_sino.Cache.load dir)
-             | None -> Some (Eda_sino.Cache.create ())),
-          true )
-  in
   let phase2, sino_s =
     timed_phase "sino" (fun () ->
         Phase2.solve ~grid ~netlist ~routes ~kth:(Budget.kth budget) ~sensitivity
@@ -306,9 +282,6 @@ let run ?grid ?base ?pool ?cache:ext_cache ?deadline config tech ~sensitivity
         in
         (Some stats, s)
   in
-  (match (cache, cache_dir) with
-  | Some c, Some dir when owns_cache -> Eda_sino.Cache.save c dir
-  | _ -> ());
   Log.debug
     ~fields:[ ("kind", kind_name kind); ("circuit", netlist.Netlist.name) ]
     "flow phases done: route %.2fs, sino %.2fs, refine %.2fs" route_s sino_s

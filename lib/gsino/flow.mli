@@ -50,7 +50,7 @@ module Config : sig
         (** flow-level heuristic seed.  Per-panel RNG streams are derived
             from it together with the panel's canonical content signature
             (never its grid position), so identical panels get identical
-            layouts — the property the panel cache relies on. *)
+            layouts (DESIGN §10). *)
     cap_quantile : float;
         (** {!prepare}'s capacity clamp quantile (default 0.90) *)
     deadline_ms : int;
@@ -74,23 +74,11 @@ module Config : sig
             raises a typed [Infeasible] before any routing work;
             [Degrade] logs the findings and proceeds.  Timing is recorded
             as [flow.phase_seconds{phase="audit"}]. *)
-    cache : bool;
-        (** memoize panel solves in a content-addressed
-            {!Eda_sino.Cache} (default [true]).  Solutions are
-            byte-identical with the cache on or off (DESIGN §10); turn it
-            off only to measure its effect. *)
-    cache_dir : string option;
-        (** persist the panel cache in this directory (loaded before
-            Phase II, saved after refinement), sharing solved panels
-            across runs — the CLI's [--panel-cache DIR] /
-            [GSINO_PANEL_CACHE].  [None] (default) keeps the cache
-            in-process only.  Ignored when [cache] is [false]. *)
   }
 
   (** [Gsino], iterative deletion, uniform budgeting, [jobs = 1],
       [seed = 7], [cap_quantile = 0.90], no deadline, 2 region retries,
-      [Degrade] on infeasibility, no audit pre-pass, in-process panel
-      cache enabled with no persistence directory. *)
+      [Degrade] on infeasibility, no audit pre-pass. *)
   val default : t
 end
 
@@ -161,10 +149,9 @@ val prepare :
     server, which owns these resources across many runs:
     - [pool] reuses a caller-owned {!Eda_exec} pool ([config.jobs] is
       then ignored for pool sizing);
-    - [cache] uses a caller-owned panel cache, staying warm across runs;
-      its load/save lifecycle belongs to the caller ([config.cache_dir]
-      is not read or written; [config.cache = false] still disables
-      memoization for the run);
+    - [cache] memoizes the run's panel solves in a caller-owned
+      {!Eda_sino.Cache}.  No driver passes one: every flow solves each
+      panel fresh, and a supplied cache changes no output (DESIGN §10);
     - [deadline] supplies an externally armed (possibly cancellable)
       deadline instead of starting one from [config.deadline_ms] —
       cancellation degrades the run at the next checkpoint exactly like

@@ -91,7 +91,7 @@ let to_config ~jobs o =
 let sensitivity o =
   Eda_netlist.Sensitivity.make ~seed:(o.seed lxor 0xbeef) ~rate:o.rate
 
-let route ?pool ?cache ?deadline ?kinds ~config tech o netlist f =
+let route ?pool ?deadline ?kinds ~config tech o netlist f =
   let grid, base =
     Flow.prepare ~config:{ config with Flow.Config.kind = Flow.Gsino } ?pool tech
       netlist
@@ -100,7 +100,7 @@ let route ?pool ?cache ?deadline ?kinds ~config tech o netlist f =
   List.map
     (fun kind ->
       let r =
-        Flow.run ~grid ~base ?pool ?cache ?deadline
+        Flow.run ~grid ~base ?pool ?deadline
           { config with Flow.Config.kind } tech ~sensitivity netlist
       in
       f r (Flow.check ~tech r))

@@ -46,10 +46,9 @@ val sensitivity : t -> Eda_netlist.Sensitivity.t
     [config] as GSINO, then for each of [kinds] (default [[o.kind]])
     {!Flow.run} with that kind and {!sensitivity} [o], and
     [f result (Flow.check result)].  [config] is [to_config ~jobs o],
-    possibly with the panel-cache fields set. *)
+    possibly with [audit] set. *)
 val route :
   ?pool:Eda_exec.t ->
-  ?cache:Eda_sino.Cache.t ->
   ?deadline:Eda_guard.Deadline.t ->
   ?kinds:Flow.kind list ->
   config:Flow.Config.t ->

@@ -29,11 +29,10 @@ let m_resolves = Metrics.counter "phase2.resolves"
 let c_fallbacks () = Metrics.counter "guard.fallbacks"
 let c_infeasible () = Metrics.counter "phase2.infeasible_panels"
 
-(* Panel-signature recurrence — sizes the ROADMAP content-addressed panel
-   cache before it exists.  Every SINO instance this module solves or
-   re-solves is fingerprinted with Instance.signature; the per-flow seen
-   set (scoped to [t], guarded for worker domains) splits them into
-   first-sights and repeats.  The split is a set property, so the counts
+(* Panel-signature recurrence — how much SINO work repeats.  Every SINO
+   instance this module solves or re-solves is fingerprinted with
+   Instance.signature; the per-flow seen set (scoped to [t], guarded for
+   worker domains) splits them into first-sights and repeats.  The split is a set property, so the counts
    are identical for any jobs value. *)
 let m_sig_unique () = Metrics.counter "sino.panel_sig_unique"
 let m_sig_dups () = Metrics.counter "sino.panel_sig_dups"
@@ -43,8 +42,8 @@ let c_moves_rej () = Metrics.counter "sino.moves_rejected"
 (* The cache disposition is journaled as its own dimension, not folded
    into the outcome: the outcome describes the solution (identical for
    any schedule), while hit/miss depends on which domain touches a
-   duplicate panel first under jobs>1.  The determinism compares strip
-   the "cache" dimension and the sino.cache_* series. *)
+   duplicate panel first under jobs>1.  No flow passes a cache, so flow
+   journals carry no "cache" dimension. *)
 let cache_dim = function
   | None -> []
   | Some Solver.Hit -> [ ("cache", "hit") ]
@@ -294,7 +293,8 @@ let resolve ?(deadline = Eda_guard.Deadline.none) ?net ?pass t key inst =
      deterministic repair kernel then, keeping the ordering and the other
      nets' couplings stable.  Either way the solve goes through the choke
      point with the flow seed, so a re-solve whose content matches any
-     earlier solve — here or in Phase II — is a cache hit. *)
+     earlier solve — here or in Phase II — gets the same layout, and is a
+     hit when a cache was given. *)
   let same_nets s =
     Instance.size s.inst = Instance.size inst
     && Array.for_all

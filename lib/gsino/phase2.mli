@@ -31,10 +31,11 @@ type mode = Order_only | Min_area
     the grid get identical layouts, and with [?pool] panels solve in
     parallel with results identical to the sequential order.
 
-    [?cache] memoizes [Min_area] solves across panels (and, via
-    [--panel-cache], across runs); cached results are byte-identical to
-    re-solved ones (DESIGN §10), and every [panel.solve] journal event
-    carries the outcome as its ["cache"] dimension.
+    [?cache] memoizes [Min_area] solves across panels in a caller-owned
+    {!Eda_sino.Cache}; no flow passes one.  Cached results are
+    byte-identical to re-solved ones (DESIGN §10); when a cache is given,
+    every [panel.solve] journal event carries the outcome as its
+    ["cache"] dimension.
 
     A [Min_area] panel that comes back infeasible is retried up to
     [retries] times with fresh content-derived RNG streams inside the
@@ -85,8 +86,8 @@ val replace : t -> key -> soln -> unit
     panel covers the same net set, its layout warm-starts the solver's
     deterministic repair kernel; either way the result is a pure
     function of the instance content and the flow seed, so refinement
-    needs no RNG of its own (and benefits from the panel cache when one
-    was given to {!solve}).  [refine.resolve] is a fault-injection site;
+    needs no RNG of its own (and shares the panel cache when one was
+    given to {!solve}).  [refine.resolve] is a fault-injection site;
     an expired [deadline] degrades to the cheap repair stages only.
     [?net] and [?pass] attribute the resulting [panel.resolve] journal
     event to the net and refinement pass that asked for the re-solve. *)

@@ -70,15 +70,11 @@ module Paper = struct
     | _ -> None
 end
 
-let run_circuit ?(tech = Tech.default) ?(jobs = 1)
-    ?(cache = Flow.Config.default.Flow.Config.cache) ?cache_dir ~scale ~seed
-    profile rates =
+let run_circuit ?(tech = Tech.default) ?(jobs = 1) ~scale ~seed profile rates =
   let netlist =
     Generator.generate ~gcell_um:tech.Tech.gcell_um ~scale ~seed profile
   in
-  let config kind =
-    { Flow.Config.default with Flow.Config.kind; seed; jobs; cache; cache_dir }
-  in
+  let config kind = { Flow.Config.default with Flow.Config.kind; seed; jobs } in
   let grid, base = Flow.prepare ~config:(config Flow.Id_no) tech netlist in
   List.map
     (fun rate ->
@@ -92,13 +88,9 @@ let run_circuit ?(tech = Tech.default) ?(jobs = 1)
     rates
 
 let run_suite ?(tech = Tech.default) ?(profiles = Generator.all_ibm)
-    ?(rates = [ 0.30; 0.50 ]) ?(jobs = 1)
-    ?(cache = Flow.Config.default.Flow.Config.cache) ?cache_dir ~scale ~seed ()
-    =
+    ?(rates = [ 0.30; 0.50 ]) ?(jobs = 1) ~scale ~seed () =
   let runs =
-    List.concat_map
-      (fun p -> run_circuit ~tech ~jobs ~cache ?cache_dir ~scale ~seed p rates)
-      profiles
+    List.concat_map (fun p -> run_circuit ~tech ~jobs ~scale ~seed p rates) profiles
   in
   { scale; seed; runs }
 

@@ -32,14 +32,10 @@ end
 
 (** [run_circuit ?tech ?jobs ~scale ~seed profile rates] — prepare the
     circuit once (shared grid and conventional base routes) and run the
-    three flows at each rate, on a [jobs]-domain pool (default 1).
-    [cache]/[cache_dir] mirror {!Flow.Config} (panel-cache enable and
-    persistence directory). *)
+    three flows at each rate, on a [jobs]-domain pool (default 1). *)
 val run_circuit :
   ?tech:Tech.t ->
   ?jobs:int ->
-  ?cache:bool ->
-  ?cache_dir:string ->
   scale:float ->
   seed:int ->
   Eda_netlist.Generator.profile ->
@@ -53,8 +49,6 @@ val run_suite :
   ?profiles:Eda_netlist.Generator.profile list ->
   ?rates:float list ->
   ?jobs:int ->
-  ?cache:bool ->
-  ?cache_dir:string ->
   scale:float ->
   seed:int ->
   unit ->

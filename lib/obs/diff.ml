@@ -78,89 +78,59 @@ let excluded policy name =
 let apply_exclude policy entries =
   List.filter (fun e -> not (excluded policy e.name)) entries
 
+(* A strict {!Json} reader failing with this module's own message, so
+   the documented gsino_diff error texts stay as they are; [field] reads
+   an optional member with it. *)
+let read get msg v =
+  try get msg v with Json.Decode_error _ -> Json.decode_error "%s" msg
+
+let field key o get msg = Option.map (read get msg) (Json.member key o)
+
+let required key o get msg =
+  match field key o get msg with Some v -> v | None -> Json.decode_error "%s" msg
+
 let policy_of_json j =
-  let fail msg = Error msg in
-  let exclude_of () =
-    match Json.member "exclude" j with
-    | None -> Ok []
-    | Some (Json.List l) ->
-        List.fold_left
-          (fun acc x ->
-            match (acc, x) with
-            | Ok ps, Json.Str p -> Ok (p :: ps)
-            | ( Ok _,
-                ( Json.Null | Json.Bool _ | Json.Int _ | Json.Float _
-                | Json.List _ | Json.Obj _ ) ) ->
-                Error "policy: exclude entries must be strings"
-            | (Error _ as e), _ -> e)
-          (Ok []) l
-        |> Result.map List.rev
-    | Some
-        ( Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.Str _
-        | Json.Obj _ ) ->
-        fail "policy: exclude must be a list of name prefixes"
+  let fail msg = Json.decode_error "%s" msg in
+  let tolerance t =
+    let metric =
+      required "metric" t Json.get_string
+        "tolerance entry: missing string field 'metric'"
+    in
+    let num key =
+      field key t Json.get_number (metric ^ ": " ^ key ^ " must be a number")
+    in
+    let max_abs = num "max_abs" in
+    let max_rel = num "max_rel" in
+    let dir_msg = metric ^ ": direction must be up|down|both" in
+    let direction =
+      match field "direction" t Json.get_string dir_msg with
+      | Some "up" | None -> Up
+      | Some "down" -> Down
+      | Some "both" -> Any_change
+      | Some _ -> fail dir_msg
+    in
+    { metric; max_abs; max_rel; direction }
   in
-  match Json.member "schema" j with
-  | Some (Json.Str "gsino-diff-policy-v1") -> (
-      match Json.member "tolerances" j with
-      | Some (Json.List ts) -> (
-          let tol_of t =
-            match Json.member "metric" t with
-            | Some (Json.Str metric) -> (
-                let num key =
-                  match Json.member key t with
-                  | Some (Json.Int i) -> Ok (Some (float_of_int i))
-                  | Some (Json.Float f) -> Ok (Some f)
-                  | None -> Ok None
-                  | Some
-                      ( Json.Null | Json.Bool _ | Json.Str _ | Json.List _
-                      | Json.Obj _ ) ->
-                      Error (metric ^ ": " ^ key ^ " must be a number")
-                in
-                let dir =
-                  match Json.member "direction" t with
-                  | Some (Json.Str "up") | None -> Ok Up
-                  | Some (Json.Str "down") -> Ok Down
-                  | Some (Json.Str "both") -> Ok Any_change
-                  | Some
-                      ( Json.Null | Json.Bool _ | Json.Int _ | Json.Float _
-                      | Json.Str _ | Json.List _ | Json.Obj _ ) ->
-                      Error (metric ^ ": direction must be up|down|both")
-                in
-                match (num "max_abs", num "max_rel", dir) with
-                | Ok max_abs, Ok max_rel, Ok direction ->
-                    Ok { metric; max_abs; max_rel; direction }
-                | Error e, _, _ | _, Error e, _ | _, _, Error e -> Error e)
-            | Some
-                ( Json.Null | Json.Bool _ | Json.Int _ | Json.Float _
-                | Json.List _ | Json.Obj _ )
-            | None ->
-                Error "tolerance entry: missing string field 'metric'"
-          in
-          match
-            List.fold_left
-              (fun acc t ->
-                match (acc, tol_of t) with
-                | Ok l, Ok tol -> Ok (tol :: l)
-                | (Error _ as e), _ | _, (Error _ as e) -> e)
-              (Ok []) ts
-          with
-          | Ok l -> (
-              match exclude_of () with
-              | Ok exclude -> Ok { tolerances = List.rev l; exclude }
-              | Error e -> Error e)
-          | Error e -> Error e)
-      | Some
-          ( Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.Str _
-          | Json.Obj _ )
-      | None ->
-          fail "policy: missing 'tolerances' list")
-  | Some (Json.Str s) -> fail ("unsupported policy schema " ^ s)
-  | Some
-      ( Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.List _
-      | Json.Obj _ )
-  | None ->
-      fail "policy: missing schema (want gsino-diff-policy-v1)"
+  match
+    (match
+       required "schema" j Json.get_string
+         "policy: missing schema (want gsino-diff-policy-v1)"
+     with
+    | "gsino-diff-policy-v1" -> ()
+    | s -> fail ("unsupported policy schema " ^ s));
+    let tolerances =
+      required "tolerances" j Json.get_list "policy: missing 'tolerances' list"
+      |> List.map tolerance
+    in
+    let exclude =
+      field "exclude" j Json.get_list "policy: exclude must be a list of name prefixes"
+      |> Option.value ~default:[]
+      |> List.map (read Json.get_string "policy: exclude entries must be strings")
+    in
+    { tolerances; exclude }
+  with
+  | policy -> Ok policy
+  | exception Json.Decode_error msg -> Error msg
 
 let load_policy path =
   match Json.read_file path with
@@ -291,35 +261,30 @@ module History = struct
     | Json.Null | Json.List _ | Json.Obj _ -> "?"
 
   let entry_of_json j =
-    let ts =
-      match Json.member "ts" j with
-      | Some (Json.Int i) -> Ok (float_of_int i)
-      | Some (Json.Float f) -> Ok f
-      | Some
-          ( Json.Null | Json.Bool _ | Json.Str _ | Json.List _ | Json.Obj _ )
-      | None ->
-          Error "history entry: missing numeric 'ts'"
-    in
-    let meta =
-      match j with
-      | Json.Obj fields ->
-          List.filter_map
-            (fun (k, v) ->
-              match k with
-              | "schema" | "ts" | "snapshot" -> None
-              | _ -> Some (k, meta_string v))
-            fields
-      | Json.Null | Json.Bool _ | Json.Int _ | Json.Float _ | Json.Str _
-      | Json.List _ ->
-          []
-    in
-    match (ts, Json.member "snapshot" j) with
-    | Error e, _ -> Error e
-    | Ok _, None -> Error "history entry: missing 'snapshot'"
-    | Ok ts, Some s -> (
-        match Metrics.of_json s with
-        | Ok snapshot -> Ok { ts; meta; snapshot }
-        | Error e -> Error e)
+    match
+      let ts =
+        required "ts" j Json.get_number "history entry: missing numeric 'ts'"
+      in
+      (* [ts] was found, so [j] is an object *)
+      let meta =
+        Json.get_obj "history entry" j
+        |> List.filter_map (fun (k, v) ->
+               match k with
+               | "schema" | "ts" | "snapshot" -> None
+               | _ -> Some (k, meta_string v))
+      in
+      let snapshot =
+        match Json.member "snapshot" j with
+        | None -> Json.decode_error "history entry: missing 'snapshot'"
+        | Some s -> (
+            match Metrics.of_json s with
+            | Ok snapshot -> snapshot
+            | Error e -> Json.decode_error "%s" e)
+      in
+      { ts; meta; snapshot }
+    with
+    | entry -> Ok entry
+    | exception Json.Decode_error msg -> Error msg
 
   (* JSONL, one snapshot per line, oldest first (bench appends). *)
   let load path =

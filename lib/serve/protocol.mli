@@ -14,8 +14,8 @@
        "options": {...}}] — run the flow.  [options] is
       {!Gsino.Options.to_json}: [flow], [router], [budgeting], [seed],
       [rate], [deadline_ms] plus the [artifacts] the response should
-      embed, with the CLI's value names; [jobs] and the panel cache stay
-      server decisions.  Unknown option fields and values are rejected,
+      embed, with the CLI's value names; [jobs] stays a server
+      decision.  Unknown option fields and values are rejected,
       not ignored — a typo must not silently change a routing run.
 
     Responses: [pong], [stats], [result] (status ["ok"]/["degraded"],
@@ -89,7 +89,9 @@ type stats = {
   active : int;  (** requests currently being served *)
   workers : int;
   jobs : int;
-  cache_len : int;  (** entries in the shared panel cache *)
+  cache_len : int;
+      (** always 0: the daemon keeps no panel cache.  The field stays on
+          the wire until the benchmark harness that reads it drops it. *)
   draining : bool;
 }
 

@@ -12,7 +12,6 @@ module Options = Gsino.Options
 module Tech = Gsino.Tech
 module Diag = Eda_check.Diag
 module Io = Eda_netlist.Io
-module Cache = Eda_sino.Cache
 
 type config = {
   socket : string;
@@ -23,7 +22,6 @@ type config = {
   request_deadline_ms : int;
   drain_ms : int;
   read_timeout_s : float;
-  cache_dir : string option;
 }
 
 let default_config =
@@ -36,7 +34,6 @@ let default_config =
     request_deadline_ms = 0;
     drain_ms = 0;
     read_timeout_s = 10.0;
-    cache_dir = None;
   }
 
 type job = {
@@ -64,7 +61,6 @@ type t = {
   mutable next_serial : int;
   mutable accept_done : bool;
   mutable workers_live : int;
-  cache : Cache.t;
   baseline : (string * Metrics.labels) list;
   m_queue_depth : Metrics.gauge;
   m_served : Metrics.counter;
@@ -98,7 +94,7 @@ let stats t =
         active = t.active;
         workers = t.cfg.workers;
         jobs = t.cfg.jobs;
-        cache_len = Cache.length t.cache;
+        cache_len = 0;
         draining = Atomic.get t.draining;
       })
 
@@ -267,7 +263,7 @@ let route_result t pool (job : job) deadline =
       }
   in
   List.hd
-    (Options.route ~pool ~cache:t.cache ~deadline ~config tech
+    (Options.route ~pool ~deadline ~config tech
        job.options netlist result)
 
 let handle_route t pool (job : job) =
@@ -378,11 +374,6 @@ let start cfg =
   let m_served = Metrics.counter "serve.served" in
   let m_errors = Metrics.counter "serve.errors" in
   let m_disconnects = Metrics.counter "serve.disconnects" in
-  let cache =
-    match cfg.cache_dir with
-    | Some dir -> Cache.load dir
-    | None -> Cache.create ()
-  in
   (try Unix.unlink cfg.socket with Unix.Unix_error (_, _, _) -> ());
   let lsock = Unix.socket Unix.PF_UNIX Unix.SOCK_STREAM 0 in
   (try
@@ -410,7 +401,6 @@ let start cfg =
       next_serial = 0;
       accept_done = false;
       workers_live = cfg.workers;
-      cache;
       baseline;
       m_queue_depth;
       m_served;
@@ -442,7 +432,7 @@ let start cfg =
   t
 
 (* Signal-handler-safe: one atomic store.  Everything that must happen
-   after — waking workers, the drain grace timer, the cache flush —
+   after — waking workers, the drain grace timer —
    happens on the thread sitting in [wait]. *)
 let drain t = Atomic.set t.draining true
 let draining t = Atomic.get t.draining
@@ -494,9 +484,6 @@ let wait t =
   loop ();
   List.iter Domain.join t.domains;
   t.domains <- [];
-  (match t.cfg.cache_dir with
-  | Some dir -> Cache.save t.cache dir
-  | None -> ());
   (try Unix.unlink t.cfg.socket with Unix.Unix_error (_, _, _) -> ());
   publish_metrics t;
   Log.info

@@ -114,7 +114,7 @@ let find t ~params ~key ~inst ?warm ?(admit = fun _ -> true) () =
       (* cross-check outside the lock: a clique bound every feasible
          layout must satisfy.  An entry beating it is provably not a
          solution of this instance (hash collision that slipped past the
-         content check, or a corrupt store) — drop it and re-solve. *)
+         content check) — drop it and re-solve. *)
       let lb = Bound.shield_lower_bound ~params inst in
       if num_shields n.value.slots >= lb then begin
         Mutex.protect t.mu (fun () ->
@@ -136,10 +136,8 @@ let find t ~params ~key ~inst ?warm ?(admit = fun _ -> true) () =
         None
       end
 
-(* [insert] is the raw mutation; [store] is the public entry that also
-   counts.  [load] below re-inserts persisted entries through [insert]
-   so sino.cache_stores only counts solves stored this process. *)
-let insert t ~key ~inst ~warm value =
+let store t ~key ~inst ?warm value =
+  Metrics.incr m_stores;
   Mutex.protect t.mu (fun () ->
       match locate t ~key ~inst ~warm with
       | Some n ->
@@ -162,221 +160,3 @@ let insert t ~key ~inst ~warm value =
                 drop t last;
                 Metrics.incr m_evictions
           done)
-
-let store t ~key ~inst ?warm value =
-  Metrics.incr m_stores;
-  insert t ~key ~inst ~warm value
-
-(* ---------------- on-disk store (gsino-panelcache-v1) --------------- *)
-
-let magic = "gsino-panelcache-v1"
-let file_of dir = Filename.concat dir "panels.v1"
-
-exception Corrupt of string
-
-let entry_lines n =
-  let inst = n.inst in
-  let sz = Instance.size inst in
-  let ints a = String.concat " " (Array.to_list (Array.map string_of_int a)) in
-  let kth =
-    String.concat " "
-      (List.init sz (fun i ->
-           Printf.sprintf "%Lx" (Int64.bits_of_float (Instance.kth inst i))))
-  in
-  let sens =
-    String.concat " "
-      (List.init sz (fun i ->
-           String.init sz (fun j -> if Instance.sens inst i j then '1' else '0')))
-  in
-  let e = n.value.effort in
-  [
-    "key " ^ n.key;
-    Printf.sprintf "n %d" sz;
-    String.trim ("kth " ^ kth);
-    String.trim ("sens " ^ sens);
-    String.trim ("slots " ^ ints n.value.slots);
-  ]
-  @ (match n.warm with Some w -> [ String.trim ("warm " ^ ints w) ] | None -> [])
-  @ [
-      Printf.sprintf "effort %d %d %d %d %d %d" e.instances e.inserted e.removed
-        e.swaps e.repairs e.retries;
-      "end";
-    ]
-
-(* Writers may race on one store directory: the serve daemon flushing at
-   drain while a batch CLI sharing GSINO_PANEL_CACHE saves after refine.
-   Each writer therefore stages into its own tmp file — pid plus an
-   in-process sequence number, so two saves from one process (daemon
-   drain racing a programmatic save) cannot collide either — and
-   publishes with an atomic rename.  Rename is last-writer-wins at the
-   whole-file level, so readers only ever observe some complete,
-   well-formed store, never an interleaving; [load] of either version is
-   valid (the stores are caches, not logs).  Counting is unaffected:
-   [save] touches no metric and [load] re-inserts through [insert], so a
-   concurrent save/load race cannot double-count sino.cache_stores. *)
-let save_seq = Atomic.make 0
-
-let save t dir =
-  (try if not (Sys.file_exists dir) then Sys.mkdir dir 0o755
-   with Sys_error _ -> ());
-  let nodes =
-    (* oldest first, so sequential re-insertion on load restores recency *)
-    Mutex.protect t.mu (fun () ->
-        let acc = ref [] in
-        let cur = ref t.head in
-        (while !cur <> None do
-           match !cur with
-           | Some n ->
-               acc := n :: !acc;
-               cur := n.next
-           | None -> ()
-         done);
-        !acc)
-  in
-  let file = file_of dir in
-  let tmp =
-    Printf.sprintf "%s.%d.%d.tmp" file (Unix.getpid ())
-      (Atomic.fetch_and_add save_seq 1)
-  in
-  (try
-     let oc = open_out tmp in
-     Fun.protect
-       ~finally:(fun () -> close_out_noerr oc)
-       (fun () ->
-         output_string oc (magic ^ "\n");
-         List.iter
-           (fun n ->
-             List.iter (fun l -> output_string oc (l ^ "\n")) (entry_lines n))
-           nodes);
-     Sys.rename tmp file
-   with e ->
-     (try Sys.remove tmp with Sys_error _ -> ());
-     raise e)
-
-let split_fields line =
-  String.split_on_char ' ' line |> List.filter (fun s -> s <> "")
-
-let expect_tag tag line =
-  match String.index_opt line ' ' with
-  | _ when line = tag -> ""
-  | Some i when String.sub line 0 i = tag ->
-      String.sub line (i + 1) (String.length line - i - 1)
-  | Some _ | None -> raise (Corrupt (Printf.sprintf "expected '%s' line" tag))
-
-let parse_entry t lines =
-  match lines with
-  | [] -> []
-  | key_line :: rest ->
-      let key = expect_tag "key" key_line in
-      let take tag rest =
-        match rest with
-        | l :: rest -> (expect_tag tag l, rest)
-        | [] -> raise (Corrupt ("truncated entry: missing " ^ tag))
-      in
-      let n_str, rest = take "n" rest in
-      let sz =
-        match int_of_string_opt n_str with
-        | Some v when v >= 0 -> v
-        | Some _ | None -> raise (Corrupt "bad size")
-      in
-      let kth_str, rest = take "kth" rest in
-      let kth_fields = Array.of_list (split_fields kth_str) in
-      if Array.length kth_fields <> sz then raise (Corrupt "kth arity");
-      let kth =
-        Array.map
-          (fun s ->
-            match Int64.of_string_opt ("0x" ^ s) with
-            | Some b -> Int64.float_of_bits b
-            | None -> raise (Corrupt "bad kth bits"))
-          kth_fields
-      in
-      let sens_str, rest = take "sens" rest in
-      let rows = Array.of_list (split_fields sens_str) in
-      if Array.length rows <> sz then raise (Corrupt "sens arity");
-      Array.iter
-        (fun r -> if String.length r <> sz then raise (Corrupt "sens row length"))
-        rows;
-      let ints s =
-        Array.of_list
-          (List.map
-             (fun f ->
-               match int_of_string_opt f with
-               | Some v -> v
-               | None -> raise (Corrupt "bad int field"))
-             (split_fields s))
-      in
-      let slots_str, rest = take "slots" rest in
-      let slots = ints slots_str in
-      let warm, rest =
-        match rest with
-        | l :: more when l = "warm" || String.length l > 5 && String.sub l 0 5 = "warm "
-          ->
-            (Some (ints (expect_tag "warm" l)), more)
-        | _ -> (None, rest)
-      in
-      let eff_str, rest = take "effort" rest in
-      let effort =
-        match Array.to_list (ints eff_str) with
-        | [ instances; inserted; removed; swaps; repairs; retries ] ->
-            { instances; inserted; removed; swaps; repairs; retries }
-        | _ -> raise (Corrupt "effort arity")
-      in
-      let rest =
-        match rest with
-        | "end" :: rest -> rest
-        | _ -> raise (Corrupt "missing end marker")
-      in
-      (* rebuild the canonical instance: ids are 0..n-1 by construction *)
-      let inst =
-        Instance.make
-          ~nets:(Array.init sz (fun i -> i))
-          ~kth
-          ~sensitive:(fun i j -> rows.(i).[j] = '1')
-      in
-      (* a solution must place each local net exactly once *)
-      let seen = Array.make sz false in
-      Array.iter
-        (fun s ->
-          if s >= 0 then
-            if s >= sz || seen.(s) then raise (Corrupt "bad slot permutation")
-            else seen.(s) <- true)
-        slots;
-      if not (Array.for_all Fun.id seen) then raise (Corrupt "missing net in slots");
-      insert t ~key ~inst ~warm { slots; effort };
-      rest
-
-let load ?capacity dir =
-  let t = create ?capacity () in
-  let file = file_of dir in
-  if not (Sys.file_exists file) then t
-  else begin
-    let lines =
-      let ic = open_in file in
-      Fun.protect
-        ~finally:(fun () -> close_in_noerr ic)
-        (fun () ->
-          let acc = ref [] in
-          (try
-             while true do
-               acc := input_line ic :: !acc
-             done
-           with End_of_file -> ());
-          List.rev !acc)
-    in
-    match lines with
-    | first :: rest when first = magic -> (
-        try
-          let rec go = function [] -> () | ls -> go (parse_entry t ls) in
-          go rest;
-          t
-        with Corrupt msg ->
-          Log.warn
-            ~fields:[ ("file", file) ]
-            "corrupt panel cache store (%s); starting empty" msg;
-          create ?capacity ())
-    | _ :: _ | [] ->
-        Log.warn
-          ~fields:[ ("file", file) ]
-          "unrecognized panel cache store header; starting empty";
-        create ?capacity ()
-  end

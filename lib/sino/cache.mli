@@ -1,5 +1,10 @@
-(** Content-addressed panel cache (ROADMAP: the foundation for
-    [gsino_serve] and incremental ECO reroute).
+(** Content-addressed in-memory panel cache.  No flow creates one: the
+    measured verdict (DESIGN §10) is that it sped nothing up and tripled
+    the serve daemon's memory.  It stays only for callers that pass
+    [?cache] explicitly ({!Solver.solve}, [Phase2.solve], [Flow.run]);
+    the bench's [cache_identity] / [cache_hit_rate] gates and the
+    identity tests use it to keep the solver's content addressing
+    honest.
 
     Entries are keyed by a string the solver builds from the canonical
     panel {!Instance.signature} plus every input that influences the
@@ -13,18 +18,13 @@
     beating a sound lower bound is provably corrupt and is dropped
     (counted in [sino.cache_bound_rejects]).
 
-    The in-process store is a mutex-protected LRU safe to share across
-    worker domains.  [save]/[load] persist it as a versioned
-    [gsino-panelcache-v1] text file inside a directory (the CLI's
-    [--panel-cache DIR] / [GSINO_PANEL_CACHE]); a missing, truncated or
-    corrupt store file loads as an empty cache with a warning — it is a
-    cache, losing it is never an error.
+    The store is a mutex-protected LRU safe to share across worker
+    domains.
 
     Counters: [sino.cache_hits] / [sino.cache_misses] /
     [sino.cache_stores] / [sino.cache_evictions] /
     [sino.cache_bound_rejects].  Hit/miss counts depend on which domain
-    touches a duplicate panel first, so they are excluded from the
-    jobs=1 ≡ jobs=4 comparisons; the solutions themselves are
+    touches a duplicate panel first; the solutions themselves are
     content-determined and schedule-independent (DESIGN §10). *)
 
 type t
@@ -75,18 +75,3 @@ val find :
 (** [store t ~key ~inst ?warm value] — insert (or refresh) an entry at
     the most-recently-used position. *)
 val store : t -> key:string -> inst:Instance.t -> ?warm:int array -> value -> unit
-
-(** [load ?capacity dir] — read [dir]'s store file; a missing file is an
-    empty cache, a malformed one is an empty cache plus a warning. *)
-val load : ?capacity:int -> string -> t
-
-(** [save t dir] — atomically write the store file (unique per-writer
-    temp file + rename), creating [dir] if needed, least-recently-used
-    entries first so a later [load] reconstructs the recency order.
-    Safe under concurrent writers sharing [dir] (a draining daemon racing
-    a batch CLI): each writer stages privately and the rename is
-    last-writer-wins on a complete file, so concurrent [save]/[load]
-    never observes a torn store and never double-counts
-    [sino.cache_stores] ([save] records no metric; [load] re-inserts
-    without counting). *)
-val save : t -> string -> unit

@@ -37,9 +37,10 @@ val sensitivities : t -> float array
 (** [signature t] — canonical content signature (16 hex chars): net
     count + sensitivity matrix up to permutation + Kth bounds bucketed in
     ~10% steps.  Net-permuted instances share a signature; an edge flip
-    or a >~10% bound change produces a different one.  This is the
-    ROADMAP panel-cache key; the journal stamps it on every panel event
-    so duplicate-panel recurrence is measurable before the cache exists. *)
+    or a >~10% bound change produces a different one.  It keys the
+    solver's content-derived seeding and the optional panel cache; the
+    journal stamps it on every panel event so duplicate-panel recurrence
+    stays measurable. *)
 val signature : t -> string
 
 (** A canonical representative of the instance's content class: the nets

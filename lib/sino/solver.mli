@@ -7,9 +7,9 @@
     derives the RNG stream from the panel's {e content} (signature +
     seed + attempt), solves the canonical form and maps the result back.
     That makes the solution a pure function of panel content — identical
-    panels anywhere in a flow (or across runs) get identical layouts —
-    which is what lets the content-addressed {!Cache} short-circuit
-    repeat work without changing a single byte of output (DESIGN §10).
+    panels anywhere in a flow (or across runs) get identical layouts.
+    The optional content-addressed {!Cache} relies on that; no flow
+    passes one any more (DESIGN §10).
 
     The low-level kernels remain available for benchmarks and studies:
 

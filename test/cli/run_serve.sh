@@ -79,7 +79,7 @@ wait_socket() {
 base=(-c ibm01 -s 0.02 --seed 7)
 
 # ---- main daemon ----
-"$SERVE" daemon --socket main.sock -w 2 -j 1 --panel-cache pc \
+"$SERVE" daemon --socket main.sock -w 2 -j 1 \
   --metrics daemon-metrics.json -q &
 DAEMON_PID=$!
 wait_socket main.sock
@@ -194,12 +194,6 @@ if grep -q "serve.served" daemon-metrics.json; then
   echo "ok   daemon-lifetime serve.* metrics flushed"
 else
   echo "FAIL daemon metrics missing serve.* series"
-  failures=$((failures + 1))
-fi
-if [ -f pc/panels.v1 ]; then
-  echo "ok   drain flushed the on-disk panel cache"
-else
-  echo "FAIL drain did not flush the panel cache"
   failures=$((failures + 1))
 fi
 

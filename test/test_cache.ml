@@ -1,6 +1,6 @@
 (* Content-addressed panel cache: LRU mechanics, verified lookups, the
    solver's canonical remapping (cache-on ≡ cache-off, DESIGN §10), the
-   on-disk gsino-panelcache-v1 store, and the annealer's acceptance
+   same identity at flow level, and the annealer's acceptance
    telemetry. *)
 open Eda_sino
 module Rng = Eda_util.Rng
@@ -27,8 +27,7 @@ let effort0 =
     retries = 0;
   }
 
-(* slots arrays must be valid solutions (each net exactly once) or the
-   permutation check in find/save would reject them *)
+(* slots arrays are valid solutions: each net exactly once *)
 let ident_slots n = Array.init n (fun i -> i)
 
 let find c ~key ~inst = Cache.find c ~params:k ~key ~inst ()
@@ -125,105 +124,40 @@ let test_order_only_not_cached () =
     (s.Solver.cache = None);
   Alcotest.(check int) "nothing stored" 0 (Cache.length cache)
 
-(* ---------------- on-disk store ---------------- *)
+(* ---------------- flow identity ---------------- *)
 
-let tmpdir () = Filename.temp_file "gsino_cache" "" |> fun f ->
-  Sys.remove f;
-  f
-
-let test_disk_roundtrip () =
-  let dir = tmpdir () in
-  let cache = Cache.create () in
-  let solve c inst = Solver.solve ?cache:c (Solver.request ~seed:9 ()) inst in
-  let insts =
-    List.init 4 (fun i -> mk_inst ~sensitive:(sym_sens (i + 1) 0.5) (6 + i))
+(* No flow creates a cache, but [Flow.run ?cache] must stay an
+   accelerator, never an oracle: a run without a cache, one with a
+   fresh cache and a second run replaying from that now-warm cache
+   agree on every outcome. *)
+let test_flow_identity () =
+  let module Flow = Gsino.Flow in
+  let tech = Gsino.Tech.default in
+  let nl =
+    Eda_netlist.Generator.generate ~gcell_um:tech.Gsino.Tech.gcell_um
+      ~scale:0.02 ~seed:7 Eda_netlist.Generator.ibm01
   in
-  let fresh = List.map (fun i -> solve (Some cache) i) insts in
-  Cache.save cache dir;
-  let loaded = Cache.load dir in
-  Alcotest.(check int) "entry count survives" (Cache.length cache)
-    (Cache.length loaded);
-  List.iter2
-    (fun inst s0 ->
-      let s = solve (Some loaded) inst in
-      Alcotest.(check bool) "loaded entry hits" true
-        (s.Solver.cache = Some Solver.Hit);
-      Alcotest.(check bool) "layout identical across processes" true
-        (Layout.slots s.Solver.layout = Layout.slots s0.Solver.layout))
-    insts fresh;
-  (* second save over the same dir is fine (atomic replace) *)
-  Cache.save loaded dir
-
-let test_disk_corruption () =
-  let write dir lines =
-    if not (Sys.file_exists dir) then Sys.mkdir dir 0o755;
-    let oc = open_out (Filename.concat dir "panels.v1") in
-    List.iter (fun l -> output_string oc (l ^ "\n")) lines;
-    close_out oc
-  in
-  let empty_after lines =
-    let dir = tmpdir () in
-    write dir lines;
-    Cache.length (Cache.load dir) = 0
-  in
-  Alcotest.(check bool) "missing dir loads empty" true
-    (Cache.length (Cache.load (tmpdir ())) = 0);
-  Alcotest.(check bool) "bad header loads empty" true
-    (empty_after [ "not-a-panel-cache"; "key a" ]);
-  Alcotest.(check bool) "truncated entry loads empty" true
-    (empty_after [ "gsino-panelcache-v1"; "key a"; "n 2" ]);
-  Alcotest.(check bool) "bad slot permutation loads empty" true
-    (empty_after
-       [
-         "gsino-panelcache-v1";
-         "key a";
-         "n 2";
-         "kth 3ff0000000000000 3ff0000000000000";
-         "sens 01 10";
-         "slots 0 0";
-         "effort 1 0 0 0 0 0";
-         "end";
-       ])
-
-let test_disk_concurrent_writers () =
-  (* several serve workers (or daemon instances) flushing the same
-     directory at once: every save publishes via a writer-unique tmp
-     name + atomic rename, so a load at any point sees one complete
-     store — never a torn or half-renamed file *)
-  let dir = tmpdir () in
-  let cache_for seed n =
-    let c = Cache.create () in
-    for i = 0 to n - 1 do
-      let inst = mk_inst ~sensitive:(sym_sens (seed + i) 0.5) (4 + (i mod 5)) in
-      ignore (Solver.solve ~cache:c (Solver.request ~seed:(seed + i) ()) inst)
-    done;
-    c
-  in
-  let caches = List.init 4 (fun w -> cache_for (100 * (w + 1)) 6) in
-  let writers =
-    List.map
-      (fun c -> Domain.spawn (fun () -> for _ = 1 to 5 do Cache.save c dir done))
-      caches
-  in
-  (* interleave loads with the racing writers: must never raise and
-     never observe a partial store (load treats corrupt as empty, so a
-     non-empty result proves the file was complete) *)
-  for _ = 1 to 10 do
-    ignore (Cache.load dir)
-  done;
-  List.iter Domain.join writers;
-  let loaded = Cache.load dir in
-  Alcotest.(check bool) "last published store is complete" true
-    (List.exists (fun c -> Cache.length c = Cache.length loaded) caches);
-  Alcotest.(check bool) "winner is one of the writers" true
-    (Cache.length loaded > 0);
-  (* no tmp litter: every pid/seq-suffixed staging file was renamed or
-     cleaned up *)
-  let litter =
-    Sys.readdir dir |> Array.to_list
-    |> List.filter (fun f -> Filename.check_suffix f ".tmp")
-  in
-  Alcotest.(check (list string)) "no tmp files left behind" [] litter
+  let sensitivity = Eda_netlist.Sensitivity.make ~seed:(7 lxor 0xbeef) ~rate:0.3 in
+  let grid, base = Flow.prepare tech nl in
+  List.iter
+    (fun kind ->
+      let config = { Flow.Config.default with Flow.Config.kind; seed = 7 } in
+      let outcome ?cache () =
+        let r = Flow.run ~grid ~base ?cache config tech ~sensitivity nl in
+        (r.Flow.shields, r.Flow.total_wl_um, r.Flow.violations, r.Flow.area)
+      in
+      let name = Flow.kind_name kind in
+      let none = outcome () in
+      let hits () = Metrics.counter_value (Metrics.counter "sino.cache_hits") in
+      let cache = Cache.create () in
+      let fresh = outcome ~cache () in
+      let h0 = hits () in
+      let warm = outcome ~cache () in
+      Alcotest.(check bool) (name ^ ": second run hits the shared cache") true
+        (hits () > h0);
+      Alcotest.(check bool) (name ^ ": fresh cache ≡ no cache") true (fresh = none);
+      Alcotest.(check bool) (name ^ ": shared cache ≡ no cache") true (warm = none))
+    [ Flow.Isino; Flow.Gsino ]
 
 (* ---------------- annealer telemetry ---------------- *)
 
@@ -312,12 +246,10 @@ let suites =
         Alcotest.test_case "acceptance ratio gauge" `Quick
           test_acceptance_ratio_gauge;
       ] );
-    ( "cache.disk",
+    ( "cache.flow",
       [
-        Alcotest.test_case "round trip" `Quick test_disk_roundtrip;
-        Alcotest.test_case "corruption tolerated" `Quick test_disk_corruption;
-        Alcotest.test_case "concurrent writers race safely" `Quick
-          test_disk_concurrent_writers;
+        Alcotest.test_case "with and without a cache agree" `Quick
+          test_flow_identity;
       ] );
     ("cache.properties", List.map QCheck_alcotest.to_alcotest qcheck_tests);
   ]

@@ -42,7 +42,7 @@ let tmpdir () =
 
 let with_server ?(workers = 1) ?(jobs = 1) ?(queue_bound = 4)
     ?(max_frame = Protocol.max_frame_default) ?(request_deadline_ms = 0)
-    ?(drain_ms = 0) ?cache_dir f =
+    ?(drain_ms = 0) f =
   let dir = tmpdir () in
   let socket = Filename.concat dir "s.sock" in
   let t =
@@ -56,7 +56,6 @@ let with_server ?(workers = 1) ?(jobs = 1) ?(queue_bound = 4)
         request_deadline_ms;
         drain_ms;
         read_timeout_s = 2.0;
-        cache_dir;
       }
   in
   Fun.protect
@@ -303,7 +302,7 @@ let test_oversized_frame () =
 
 (* ---------------- routing ---------------- *)
 
-let volatile_prefixes = [ "exec."; "gc."; "prof."; "sino.cache_"; "serve." ]
+let volatile_prefixes = [ "exec."; "gc."; "prof."; "serve." ]
 
 let stable_metric_entries artifact =
   match Eda_obs.Json.of_string artifact with
